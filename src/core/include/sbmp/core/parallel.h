@@ -67,17 +67,38 @@ class ResultCache {
   explicit ResultCache(int shards = kDefaultShards,
                        MetricsRegistry* metrics = nullptr);
 
+  /// One memoized run: the report, plus opaque bytes the inserter
+  /// derived from it once (the serving layer keeps the encoded report
+  /// here, so a hit is answered without re-encoding). Empty when the
+  /// inserter stored none.
+  struct Entry {
+    LoopReport report;
+    std::string payload;
+  };
+
   /// Builds the canonical cache key for (loop, options).
   [[nodiscard]] static std::string key(const Loop& loop,
                                        const PipelineOptions& options);
 
-  /// Returns the cached report for `key`, or nullptr.
+  /// Returns the cached entry for `key`, or nullptr.
+  [[nodiscard]] std::shared_ptr<const Entry> lookup_entry(
+      const std::string& key) const;
+  /// lookup_entry() that counts a hit but not a miss: for a fast path
+  /// whose miss falls through to a path that looks the key up again, so
+  /// every request is counted exactly once.
+  [[nodiscard]] std::shared_ptr<const Entry> probe_entry(
+      const std::string& key) const;
+  /// The report of lookup_entry(key) (same shared ownership), or nullptr.
   [[nodiscard]] std::shared_ptr<const LoopReport> lookup(
       const std::string& key) const;
 
-  /// Inserts `report` under `key`; if another thread raced the same key
-  /// in first, the existing entry wins (both are the same computation)
-  /// and is returned.
+  /// Inserts (`report`, `payload`) under `key`; if another thread raced
+  /// the same key in first, the existing entry wins (both are the same
+  /// computation) and is returned.
+  std::shared_ptr<const Entry> insert_entry(const std::string& key,
+                                            LoopReport report,
+                                            std::string payload);
+  /// insert_entry() without a payload, returning the winner's report.
   std::shared_ptr<const LoopReport> insert(const std::string& key,
                                            LoopReport report);
 
@@ -109,8 +130,11 @@ class ResultCache {
   // contention the sharding exists to remove.
   struct alignas(64) Shard {
     mutable std::mutex mu;
-    std::unordered_map<std::string, std::shared_ptr<const LoopReport>> map;
+    std::unordered_map<std::string, std::shared_ptr<const Entry>> map;
   };
+
+  [[nodiscard]] std::shared_ptr<const Entry> find(const std::string& key,
+                                                  bool count_miss) const;
 
   // Shards hold mutexes, so they live in a fixed-size heap array rather
   // than a vector (no moves, no false sharing with the counters).

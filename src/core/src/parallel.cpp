@@ -42,7 +42,7 @@ struct L1Entry {
   std::uint64_t gen = 0;
   std::uint64_t hash = 0;
   std::string key;
-  std::shared_ptr<const LoopReport> report;
+  std::shared_ptr<const ResultCache::Entry> entry;
 };
 
 struct L1Table {
@@ -63,12 +63,12 @@ static_assert((ResultCache::kL1Entries &
                (ResultCache::kL1Entries - 1)) == 0,
               "L1 probing masks, so the capacity must be a power of two");
 
-/// Stores `report` under (gen, hash, key) with the two-probe policy:
+/// Stores `entry` under (gen, hash, key) with the two-probe policy:
 /// prefer the home slot, spill to the neighbor when the home slot holds
 /// a live entry of a *different* key, evict the home slot when both are
 /// taken. Same-key slots are refreshed in place.
 void l1_store(std::uint64_t gen, std::uint64_t hash, const std::string& key,
-              std::shared_ptr<const LoopReport> report) {
+              std::shared_ptr<const ResultCache::Entry> entry) {
   L1Table& l1 = l1_table();
   L1Entry& home = l1.slots[static_cast<std::size_t>(hash & l1_mask)];
   L1Entry& next = l1.slots[static_cast<std::size_t>((hash + 1) & l1_mask)];
@@ -82,19 +82,26 @@ void l1_store(std::uint64_t gen, std::uint64_t hash, const std::string& key,
   slot->gen = gen;
   slot->hash = hash;
   slot->key = key;
-  slot->report = std::move(report);
+  slot->entry = std::move(entry);
 }
 
 /// Returns the L1 entry for (gen, hash, key), or nullptr.
-const std::shared_ptr<const LoopReport>* l1_find(std::uint64_t gen,
-                                                 std::uint64_t hash,
-                                                 const std::string& key) {
+const std::shared_ptr<const ResultCache::Entry>* l1_find(
+    std::uint64_t gen, std::uint64_t hash, const std::string& key) {
   L1Table& l1 = l1_table();
   for (const std::uint64_t probe : {hash, hash + 1}) {
     const L1Entry& e = l1.slots[static_cast<std::size_t>(probe & l1_mask)];
-    if (e.gen == gen && e.hash == hash && e.key == key) return &e.report;
+    if (e.gen == gen && e.hash == hash && e.key == key) return &e.entry;
   }
   return nullptr;
+}
+
+/// The report inside `entry`, sharing the entry's ownership.
+std::shared_ptr<const LoopReport> report_of(
+    std::shared_ptr<const ResultCache::Entry> entry) {
+  if (entry == nullptr) return nullptr;
+  const LoopReport* report = &entry->report;
+  return {std::move(entry), report};
 }
 
 /// Process-global generation source; 0 is reserved for "empty slot".
@@ -182,8 +189,8 @@ int ResultCache::shard_of(const std::string& key) const {
                           static_cast<std::uint64_t>(num_shards_));
 }
 
-std::shared_ptr<const LoopReport> ResultCache::lookup(
-    const std::string& key) const {
+std::shared_ptr<const ResultCache::Entry> ResultCache::find(
+    const std::string& key, bool count_miss) const {
   const std::uint64_t h = key_fingerprint(key);
   // L1 first: a hit touches no shard mutex and no other thread's lines.
   if (const auto* cached = l1_find(generation_, h, key)) {
@@ -194,12 +201,12 @@ std::shared_ptr<const LoopReport> ResultCache::lookup(
   const Shard& shard =
       shards_[static_cast<std::size_t>(h % static_cast<std::uint64_t>(
           num_shards_))];
-  std::shared_ptr<const LoopReport> found;
+  std::shared_ptr<const Entry> found;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.map.find(key);
     if (it == shard.map.end()) {
-      misses_->inc();
+      if (count_miss) misses_->inc();
       return nullptr;
     }
     hits_->inc();
@@ -212,14 +219,30 @@ std::shared_ptr<const LoopReport> ResultCache::lookup(
   return found;
 }
 
-std::shared_ptr<const LoopReport> ResultCache::insert(const std::string& key,
-                                                      LoopReport report) {
+std::shared_ptr<const ResultCache::Entry> ResultCache::lookup_entry(
+    const std::string& key) const {
+  return find(key, /*count_miss=*/true);
+}
+
+std::shared_ptr<const ResultCache::Entry> ResultCache::probe_entry(
+    const std::string& key) const {
+  return find(key, /*count_miss=*/false);
+}
+
+std::shared_ptr<const LoopReport> ResultCache::lookup(
+    const std::string& key) const {
+  return report_of(lookup_entry(key));
+}
+
+std::shared_ptr<const ResultCache::Entry> ResultCache::insert_entry(
+    const std::string& key, LoopReport report, std::string payload) {
   const std::uint64_t h = key_fingerprint(key);
-  auto entry = std::make_shared<const LoopReport>(std::move(report));
+  auto entry = std::make_shared<const Entry>(
+      Entry{std::move(report), std::move(payload)});
   Shard& shard =
       shards_[static_cast<std::size_t>(h % static_cast<std::uint64_t>(
           num_shards_))];
-  std::shared_ptr<const LoopReport> winner;
+  std::shared_ptr<const Entry> winner;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     const auto [it, inserted] = shard.map.emplace(key, std::move(entry));
@@ -229,6 +252,11 @@ std::shared_ptr<const LoopReport> ResultCache::insert(const std::string& key,
   // lookup is an L1 hit on the canonical shared report.
   l1_store(generation_, h, key, winner);
   return winner;
+}
+
+std::shared_ptr<const LoopReport> ResultCache::insert(const std::string& key,
+                                                      LoopReport report) {
+  return report_of(insert_entry(key, std::move(report), std::string()));
 }
 
 std::size_t ResultCache::size() const {

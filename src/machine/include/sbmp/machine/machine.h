@@ -115,10 +115,6 @@ struct MachineDesc {
     latencies[static_cast<int>(op)] = cycles;
   }
 
-  /// Smallest entry of the latency table; the schedulers use this to
-  /// reject (or route around) sub-unit latencies.
-  [[nodiscard]] int min_latency() const;
-
   /// Structural validity: issue_width >= 1, every FU count >= 1, every
   /// latency >= 1, signal_latency >= 0, signal_buffer_depth >= 0.
   /// Returns a typed Status (stage "machine") instead of asserting so

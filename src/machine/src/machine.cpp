@@ -135,10 +135,6 @@ FuClass fu_class_of(Opcode op, bool is_float) {
   return FuClass::kNone;
 }
 
-int MachineDesc::min_latency() const {
-  return *std::min_element(latencies.begin(), latencies.end());
-}
-
 Status MachineDesc::validate() const {
   if (issue_width < 1) {
     return desc_error("issue_width must be >= 1, got " +

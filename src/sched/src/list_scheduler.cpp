@@ -31,7 +31,7 @@ ListScratch& list_scratch() {
 /// materializing (schedule_list) and slots-only (schedule_list_slots)
 /// entry points so their decisions cannot diverge.
 void run_list_placement(SlotFiller& filler, const TacFunction& tac,
-                        const Dfg& dfg, const MachineDesc& config) {
+                        const Dfg& dfg) {
   const std::vector<int>& height = dfg.heights();
 
   // Cycle-driven list scheduling: at each cycle, issue the ready
@@ -50,32 +50,13 @@ void run_list_placement(SlotFiller& filler, const TacFunction& tac,
     return ha != hb ? ha > hb : a < b;
   });
 
-  // A zero-latency edge can make a successor ready within the cycle
-  // being scanned, mid-scan — the event-driven ready list below cannot
-  // express that, so such machine configurations keep the original
-  // rescan loop.
-  if (config.min_latency() < 1) {
-    int cycle = 0;
-    while (filler.num_placed() < n) {
-      for (const int id : order) {
-        if (filler.placed(id)) continue;
-        const int ready = filler.ready_slot(id);
-        if (ready < 0 || ready > cycle) continue;
-        if (!filler.capacity_ok(cycle, id)) continue;
-        filler.place_at(id, cycle);
-      }
-      ++cycle;
-    }
-    return;
-  }
-
-  // Event-driven form of the same loop: with every edge latency >= 1,
-  // placing an instruction can only make successors ready in a later
-  // cycle, so instead of rescanning all unplaced instructions each
-  // cycle, each instruction enters the bucket of the cycle its last
+  // Precondition: every latency >= 1 (MachineDesc::validate at pipeline entry).
+  //
+  // Event-driven: placing an instruction can only make successors ready
+  // in a later cycle, so instead of rescanning all unplaced instructions
+  // each cycle, each instruction enters the bucket of the cycle its last
   // predecessor result arrives and then waits in a priority-ordered
-  // avail list until capacity admits it. The placement decisions are
-  // identical to the rescan loop's.
+  // avail list until capacity admits it.
   std::vector<int>& rank = scratch.rank;
   rank.assign(static_cast<std::size_t>(n) + 1, 0);
   for (int i = 0; i < n; ++i)
@@ -165,7 +146,7 @@ Schedule schedule_inorder(const TacFunction& tac, const Dfg& dfg,
 Schedule schedule_list(const TacFunction& tac, const Dfg& dfg,
                        const MachineDesc& config) {
   SlotFiller filler(tac, dfg, config);
-  run_list_placement(filler, tac, dfg, config);
+  run_list_placement(filler, tac, dfg);
   return filler.take();
 }
 
@@ -173,7 +154,7 @@ int schedule_list_slots(const TacFunction& tac, const Dfg& dfg,
                         const MachineDesc& config,
                         std::vector<int>& slot_of) {
   SlotFiller filler(tac, dfg, config, /*materialize=*/false);
-  run_list_placement(filler, tac, dfg, config);
+  run_list_placement(filler, tac, dfg);
   return filler.take_slots(slot_of);
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "sbmp/core/pipeline.h"
 #include "sbmp/support/hash.h"
@@ -41,6 +42,9 @@ inline constexpr std::int64_t kScheduleCacheFormatVersion = 1;
 /// must not partition the key space.
 [[nodiscard]] Fingerprint schedule_fingerprint(const Loop& loop,
                                                const PipelineOptions& options);
+/// The same fingerprint from `cache_key`, the caller's already-built
+/// ResultCache::key(loop, options), so a request renders its key once.
+[[nodiscard]] Fingerprint schedule_fingerprint(std::string_view cache_key);
 
 /// Serializes the cacheable artifacts of `report`. The encoding is
 /// deterministic: byte-equal encodings iff the stored fields are equal,

@@ -51,7 +51,9 @@ class DirectCompiler final : public LoopCompiler {
 /// back-fills memory. Disk entries are decoded through the codec's
 /// integrity and re-validation gates, so a corrupt or stale entry is
 /// invalidated and recompiled — the warm path can only ever return the
-/// bytes the cold path would have produced.
+/// bytes the cold path would have produced. Each memory entry keeps the
+/// encoded report beside the decoded one: the bytes a compile encoded
+/// once for the disk tier, or the bytes a disk hit loaded.
 class CachingCompiler final : public LoopCompiler {
  public:
   /// `metrics` (optional) publishes the compile/corrupt counters on a
@@ -72,6 +74,14 @@ class CachingCompiler final : public LoopCompiler {
   using LoopCompiler::compile;
   [[nodiscard]] LoopReport compile(const Loop& loop,
                                    const PipelineOptions& options) override;
+
+  /// The cache entry for (loop, options), whose ResultCache::key the
+  /// caller has already built as `key`. Its payload is
+  /// encode_loop_report(report, schedule_fingerprint(key)), byte for
+  /// byte what the disk tier stores. Throws StatusError like compile().
+  [[nodiscard]] std::shared_ptr<const ResultCache::Entry> compile_entry(
+      const std::string& key, const Loop& loop,
+      const PipelineOptions& options);
 
   /// Disk entries rejected by the codec since construction.
   [[nodiscard]] std::int64_t corrupt_entries() const {
@@ -129,6 +139,15 @@ class ScheduleServer {
   /// Facade form of the single compile: never throws pipeline errors.
   [[nodiscard]] CompileResult compile(const CompileRequest& request);
 
+  /// The memory entry behind compile(): the report and its encoded
+  /// payload (see CachingCompiler::compile_entry), shared, not copied —
+  /// what the remote serving path frames. A warm hit returns the stored
+  /// entry without entering single-flight; a miss takes the same
+  /// single-flight compile as compile(). Throws StatusError like
+  /// compile().
+  [[nodiscard]] std::shared_ptr<const ResultCache::Entry> compile_entry(
+      const Loop& loop, const PipelineOptions& options);
+
   /// Compiles every request on the pool. Order-stable: result i belongs
   /// to request i, and a failed request yields a stub report carrying
   /// the error status (batches never abort on one bad loop).
@@ -152,8 +171,8 @@ class ScheduleServer {
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
-    std::shared_ptr<const LoopReport> report;  ///< set on success
-    Status failure;                            ///< set when the run threw
+    std::shared_ptr<const ResultCache::Entry> entry;  ///< set on success
+    Status failure;  ///< set when the run threw
   };
 
   ServerOptions options_;

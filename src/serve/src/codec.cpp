@@ -70,12 +70,16 @@ Status read_string_list(RecordReader& r, const char* name,
 
 Fingerprint schedule_fingerprint(const Loop& loop,
                                  const PipelineOptions& options) {
+  return schedule_fingerprint(ResultCache::key(loop, options));
+}
+
+Fingerprint schedule_fingerprint(std::string_view cache_key) {
   // ResultCache::key already canonicalizes the exact input set of
   // run_pipeline (loop rendering + every semantic option); reusing it
   // here guarantees the in-memory and on-disk caches can never disagree
   // about which runs are "the same". The version is appended so a format
   // bump orphans every old entry.
-  std::string data = ResultCache::key(loop, options);
+  std::string data(cache_key);
   data += '\x1e';
   data += "sbmp-cache-v";
   data += std::to_string(kScheduleCacheFormatVersion);

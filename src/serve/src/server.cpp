@@ -31,20 +31,29 @@ LoopReport DirectCompiler::compile(const Loop& loop,
 
 LoopReport CachingCompiler::compile(const Loop& loop,
                                     const PipelineOptions& options) {
-  const std::string key =
-      memory_ != nullptr ? ResultCache::key(loop, options) : std::string();
+  return compile_entry(ResultCache::key(loop, options), loop, options)->report;
+}
+
+std::shared_ptr<const ResultCache::Entry> CachingCompiler::compile_entry(
+    const std::string& key, const Loop& loop,
+    const PipelineOptions& options) {
   if (memory_ != nullptr) {
-    if (const auto hit = memory_->lookup(key)) return *hit;
+    if (auto hit = memory_->lookup_entry(key)) return hit;
   }
-  Fingerprint fp;
+  // Back-fills the memory tier, or hands the entry back alone without one.
+  const auto keep = [&](LoopReport report, std::string payload) {
+    if (memory_ != nullptr)
+      return memory_->insert_entry(key, std::move(report), std::move(payload));
+    return std::make_shared<const ResultCache::Entry>(
+        ResultCache::Entry{std::move(report), std::move(payload)});
+  };
+  const Fingerprint fp = schedule_fingerprint(key);
   if (disk_ != nullptr) {
-    fp = schedule_fingerprint(loop, options);
-    if (const auto payload = disk_->load(fp)) {
+    if (auto payload = disk_->load(fp)) {
       LoopReport report;
       if (Status s = decode_loop_report(*payload, options, fp, &report);
           s.ok()) {
-        if (memory_ != nullptr) return *memory_->insert(key, std::move(report));
-        return report;
+        return keep(std::move(report), std::move(*payload));
       } else {
         // Stale, corrupt or tampered entry: drop it and recompile. The
         // rejection is a diagnostic, never a failure of the compile.
@@ -57,9 +66,9 @@ LoopReport CachingCompiler::compile(const Loop& loop,
   }
   compiles_->inc();
   LoopReport report = run_pipeline(loop, options);
-  if (disk_ != nullptr) disk_->store(fp, encode_loop_report(report, fp));
-  if (memory_ != nullptr) return *memory_->insert(key, std::move(report));
-  return report;
+  std::string payload = encode_loop_report(report, fp);
+  if (disk_ != nullptr) disk_->store(fp, payload);
+  return keep(std::move(report), std::move(payload));
 }
 
 ScheduleServer::ScheduleServer(ServerOptions options)
@@ -78,10 +87,19 @@ ScheduleServer::ScheduleServer(ServerOptions options)
 
 LoopReport ScheduleServer::compile(const Loop& loop,
                                    const PipelineOptions& options) {
+  return compile_entry(loop, options)->report;
+}
+
+std::shared_ptr<const ResultCache::Entry> ScheduleServer::compile_entry(
+    const Loop& loop, const PipelineOptions& options) {
   const std::string key = ResultCache::key(loop, options);
+  requests_->inc();
+  // Warm hit: the stored entry is the answer, so there is no flight to
+  // join. A miss is not counted here: the leader below looks the key up
+  // again and counts that lookup, exactly once per request.
+  if (auto hit = memory_.probe_entry(key)) return hit;
   std::shared_ptr<Inflight> flight;
   bool leader = false;
-  requests_->inc();
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = inflight_.find(key);
@@ -98,27 +116,26 @@ LoopReport ScheduleServer::compile(const Loop& loop,
     std::unique_lock<std::mutex> lock(flight->mu);
     flight->cv.wait(lock, [&] { return flight->done; });
     if (!flight->failure.ok()) throw StatusError(flight->failure);
-    return *flight->report;
+    return flight->entry;
   }
   // Leader: run the (cached) compile, publish the outcome, and retire
   // the flight so later identical requests take the cache path.
-  const auto publish = [&](std::shared_ptr<const LoopReport> report,
+  const auto publish = [&](std::shared_ptr<const ResultCache::Entry> entry,
                            Status failure) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       inflight_.erase(key);
     }
     std::lock_guard<std::mutex> lock(flight->mu);
-    flight->report = std::move(report);
+    flight->entry = std::move(entry);
     flight->failure = std::move(failure);
     flight->done = true;
     flight->cv.notify_all();
   };
   try {
-    auto report =
-        std::make_shared<const LoopReport>(compiler_.compile(loop, options));
-    publish(report, Status::okay());
-    return *report;
+    auto entry = compiler_.compile_entry(key, loop, options);
+    publish(entry, Status::okay());
+    return entry;
   } catch (const StatusError& e) {
     publish(nullptr, e.status());
     throw;

@@ -1,6 +1,7 @@
 #include "sbmp/serve/session.h"
 
 #include <chrono>
+#include <cstdint>
 #include <string>
 
 #include "sbmp/core/pipeline.h"
@@ -20,18 +21,41 @@ Counter* outcome_counter(ScheduleServer& server, const char* outcome) {
                                   std::string("outcome=\"") + outcome + "\"");
 }
 
+/// The instruments every request updates, resolved once per (thread,
+/// registry) instead of by name per request (registry ids are never
+/// reused, so a cached pointer cannot outlive its registry unnoticed).
+/// `ok` is resolved at its first use, so the registry still lists the
+/// series in the order requests first touch them.
+struct RequestInstruments {
+  std::uint64_t registry_id = 0;
+  Histogram* latency = nullptr;
+  Counter* ok = nullptr;
+};
+
+RequestInstruments& request_instruments(ScheduleServer& server) {
+  thread_local RequestInstruments cached;
+  MetricsRegistry& registry = server.metrics();
+  if (cached.registry_id != registry.id()) {
+    cached.registry_id = registry.id();
+    cached.latency = registry.histogram("sbmp_server_request_ns", "",
+                                        phase_latency_bounds_ns());
+    cached.ok = nullptr;
+  }
+  return cached;
+}
+
 }  // namespace
 
 std::string handle_compile_request(ScheduleServer& server,
                                    AdmissionController* admission,
                                    const std::string& payload) {
-  Histogram* latency = server.metrics().histogram(
-      "sbmp_server_request_ns", "", phase_latency_bounds_ns());
+  RequestInstruments& instruments = request_instruments(server);
   const auto t0 = std::chrono::steady_clock::now();
   const auto observe = [&] {
-    latency->observe(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count());
+    instruments.latency->observe(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
   };
 
   std::string options_payload;
@@ -73,10 +97,10 @@ std::string handle_compile_request(ScheduleServer& server,
   if (status.ok()) {
     try {
       const Loop loop = parse_single_loop_or_throw(loop_source);
-      const LoopReport report = server.compile(loop, options);
+      // The entry carries the report already encoded, so a warm hit
+      // frames stored bytes: no report copy, no re-encode.
       response = encode_compile_response(
-          Status::okay(),
-          encode_loop_report(report, schedule_fingerprint(loop, options)));
+          Status::okay(), server.compile_entry(loop, options)->payload);
     } catch (const StatusError& e) {
       status = e.status();
     } catch (const SbmpError& e) {
@@ -89,7 +113,9 @@ std::string handle_compile_request(ScheduleServer& server,
 
   switch (status.code) {
     case StatusCode::kOk:
-      outcome_counter(server, "ok")->inc();
+      if (instruments.ok == nullptr)
+        instruments.ok = outcome_counter(server, "ok");
+      instruments.ok->inc();
       break;
     case StatusCode::kOverloaded:
       outcome_counter(server, "shed")->inc();

@@ -24,6 +24,8 @@
 #include "sbmp/core/parallel.h"
 #include "sbmp/core/pipeline.h"
 #include "sbmp/frontend/parser.h"
+#include "sbmp/perfect/suite.h"
+#include "sbmp/sched/schedulers.h"
 #include "sbmp/serve/admission.h"
 #include "sbmp/serve/client.h"
 #include "sbmp/serve/codec.h"
@@ -32,6 +34,7 @@
 #include "sbmp/serve/server.h"
 #include "sbmp/serve/session.h"
 #include "sbmp/serve/transport.h"
+#include "sbmp/sim/fault.h"
 #include "sbmp/support/deadline.h"
 #include "sbmp/support/hash.h"
 #include "sbmp/support/io.h"
@@ -1260,6 +1263,160 @@ TEST(ServeSession, CompileResponseIsByteIdenticalToALocalRun) {
 
   h.finish();
   EXPECT_EQ(h.end, SessionEnd::kPeerClosed);
+}
+
+// --- warm-hit path ---------------------------------------------------
+
+std::string compile_request_for(const char* source,
+                                const PipelineOptions& options) {
+  return encode_compile_request(encode_pipeline_options(options), source,
+                                /*deadline_ms=*/0);
+}
+
+/// The response a server owes for (source, options): the local compile's
+/// encoded report, framed as a successful compile response.
+std::string local_response(const char* source,
+                           const PipelineOptions& options) {
+  const Loop loop = parse_single_loop_or_throw(source);
+  return encode_compile_response(
+      Status::okay(), encode_loop_report(run_pipeline(loop, options),
+                                         schedule_fingerprint(loop, options)));
+}
+
+TEST(ServeWarmHit, ResponseIsByteIdenticalToTheLocalCompile) {
+  PipelineOptions buffered = codec_options();  // 4-issue(#FU=2)
+  buffered.machine.signal_buffer_depth = 2;
+  for (const PipelineOptions& options : {codec_options(), buffered}) {
+    for (const char* source : {kPaperExample, kStencil}) {
+      ScheduleServer server{ServerOptions{}};
+      const std::string request = compile_request_for(source, options);
+      const std::string expected = local_response(source, options);
+      EXPECT_EQ(handle_compile_request(server, nullptr, request), expected);
+      // The second request is a memory hit served from stored bytes.
+      EXPECT_EQ(handle_compile_request(server, nullptr, request), expected);
+      EXPECT_EQ(server.stats().memory_hits, 1);
+    }
+  }
+}
+
+TEST(ServeWarmHit, CachedValidationFailureIsServedAsStored) {
+  const std::string dir = fresh_dir("sbmp_warm_validation");
+  const Loop loop = parse_single_loop_or_throw(kPaperExample);
+  const PipelineOptions options = codec_options();
+  const Fingerprint fp = schedule_fingerprint(loop, options);
+  // A report whose schedule breaks a sync condition, carrying exactly
+  // the verdicts the codec re-derives on load: a kValidation entry the
+  // disk tier accepts.
+  LoopReport report = run_pipeline(loop, options);
+  ASSERT_TRUE(apply_schedule_mutation(ScheduleMutation::kHoistSend,
+                                      report.tac, report.dfg,
+                                      report.schedule, options.machine));
+  report.schedule_violations = verify_schedule(
+      report.tac, *report.dfg, options.machine, report.schedule);
+  report.validation_violations = validate_pipeline(report, options);
+  report.status =
+      Status::error(StatusCode::kValidation, "validate", "hoisted send");
+  ASSERT_FALSE(report.valid());
+  const std::string payload = encode_loop_report(report, fp);
+  DiskCache(dir, 1 << 20).store(fp, payload);
+
+  ServerOptions server_options;
+  server_options.cache_dir = dir;
+  ScheduleServer server(server_options);
+  const std::string request = compile_request_for(kPaperExample, options);
+  const std::string expected = encode_compile_response(Status::okay(), payload);
+  EXPECT_EQ(handle_compile_request(server, nullptr, request), expected);
+  EXPECT_EQ(handle_compile_request(server, nullptr, request), expected);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.compiles, 0);
+  EXPECT_EQ(stats.disk_hits, 1);
+  EXPECT_EQ(stats.memory_hits, 1);
+}
+
+TEST(ServeWarmHit, CountsTheRequestAndTheHitButNoCompile) {
+  ScheduleServer server{ServerOptions{}};
+  const std::string request =
+      compile_request_for(kPaperExample, codec_options());
+  (void)handle_compile_request(server, nullptr, request);
+  const ServerStats before = server.stats();
+  EXPECT_EQ(before.compiles, 1);
+  (void)handle_compile_request(server, nullptr, request);
+  const ServerStats after = server.stats();
+  EXPECT_EQ(after.requests, before.requests + 1);
+  EXPECT_EQ(after.memory_hits, before.memory_hits + 1);
+  EXPECT_EQ(after.compiles, before.compiles);
+  EXPECT_EQ(after.singleflight_joins, before.singleflight_joins);
+  // Each request is one cache lookup: the cold miss and the warm hit.
+  const MetricsSnapshot metrics = server.metrics().snapshot();
+  const MetricSample* misses = metrics.find("sbmp_result_cache_misses_total");
+  ASSERT_NE(misses, nullptr);
+  EXPECT_EQ(misses->value, 1);
+  // The per-request instruments still see every request.
+  const MetricSample* ok =
+      metrics.find("sbmp_serve_outcomes_total", "outcome=\"ok\"");
+  ASSERT_NE(ok, nullptr);
+  EXPECT_EQ(ok->value, 2);
+  const MetricSample* latency = metrics.find("sbmp_server_request_ns");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, 2);
+}
+
+TEST(ServeWarmHit, DiskHitKeepsTheLoadedBytesAsTheMemoryPayload) {
+  const std::string dir = fresh_dir("sbmp_warm_payload");
+  const Loop loop = parse_single_loop_or_throw(kPaperExample);
+  const PipelineOptions options = codec_options();
+  const std::string key = ResultCache::key(loop, options);
+  {
+    DiskCache disk(dir, 1 << 20);
+    CachingCompiler compiler(nullptr, &disk);
+    (void)compiler.compile(loop, options);
+  }
+  std::string stored;
+  ASSERT_TRUE(read_file(dir + "/" + schedule_fingerprint(key).to_hex() +
+                            DiskCache::kEntrySuffix,
+                        &stored)
+                  .ok());
+
+  DiskCache disk(dir, 1 << 20);
+  ResultCache memory;
+  CachingCompiler compiler(&memory, &disk);
+  const auto entry = compiler.compile_entry(key, loop, options);
+  EXPECT_EQ(compiler.compiles(), 0);
+  EXPECT_EQ(disk.stats().hits, 1);
+  EXPECT_EQ(entry->payload, stored);
+  const auto cached = memory.lookup_entry(key);
+  ASSERT_NE(cached, nullptr);
+  EXPECT_EQ(cached.get(), entry.get());
+}
+
+TEST(ServeWarmHit, KeyTakingFingerprintMatchesOnTheArchsweepGrid) {
+  std::vector<Loop> loops = {parse_single_loop_or_throw(kPaperExample),
+                             parse_single_loop_or_throw(kStencil)};
+  for (const auto& bench : perfect_suite())
+    for (const Loop& loop : bench.program().loops) loops.push_back(loop);
+  // bench_archsweep's default grid: issue=2,4 fu=1,2 buf=0,2.
+  std::string all;
+  for (const int issue : {2, 4}) {
+    for (const int fu : {1, 2}) {
+      for (const int buf : {0, 2}) {
+        PipelineOptions options;
+        options.machine = machines::default_machine();
+        options.machine.issue_width = issue;
+        options.machine.fu_counts.fill(fu);
+        options.machine.signal_buffer_depth = buf;
+        for (const Loop& loop : loops) {
+          const Fingerprint fp = schedule_fingerprint(loop, options);
+          EXPECT_EQ(schedule_fingerprint(ResultCache::key(loop, options)), fp)
+              << loop.name << " on " << options.machine.to_string();
+          all += fp.to_hex();
+        }
+      }
+    }
+  }
+  // Pinned: every fingerprint on the grid, and so every disk address,
+  // is the one earlier builds computed.
+  EXPECT_EQ(fingerprint_bytes(all).to_hex(),
+            "92ed57db29815d0550d5cb01bbd0e2d5");
 }
 
 TEST(ServeSession, ShedRequestGetsATypedOverloadedResponse) {

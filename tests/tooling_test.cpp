@@ -8,8 +8,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -166,18 +168,53 @@ int run_sbmpc(const std::string& args) {
   return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
 }
 
-/// Writes the paper example to a temp file once and returns its path.
-const std::string& fig1_path() {
-  static const std::string path = [] {
-    const std::string p = ::testing::TempDir() + "sbmpc_fig1.loop";
-    std::ofstream out(p);
-    out << "doacross I = 1, 100\n"
-           "  B[I] = A[I-2] + E[I+1]\n"
-           "  G[I-3] = A[I-1] * E[I+2]\n"
-           "  A[I] = B[I] + C[I+3]\n"
-           "end\n";
-    return p;
-  }();
+/// Per-test scratch directories. ctest runs every test as its own
+/// process, many at once under -j, so files at fixed names under
+/// TempDir() would be shared between tests running at the same time.
+/// Each test gets a directory named from the test and the pid instead,
+/// made empty on first use and removed when the process's tests end.
+class TestDirs : public ::testing::Environment {
+ public:
+  /// The running test's directory, with a trailing '/'.
+  std::string current() {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    const std::string dir = ::testing::TempDir() + "sbmp_tooling_" +
+                            info->test_suite_name() + "." + info->name() +
+                            "." + std::to_string(::getpid()) + "/";
+    if (std::find(dirs_.begin(), dirs_.end(), dir) == dirs_.end()) {
+      std::filesystem::remove_all(dir);  // left over from a reused pid
+      std::filesystem::create_directories(dir);
+      dirs_.push_back(dir);
+    }
+    return dir;
+  }
+
+  void TearDown() override {
+    std::error_code ignored;
+    for (const std::string& dir : dirs_)
+      std::filesystem::remove_all(dir, ignored);
+  }
+
+ private:
+  std::vector<std::string> dirs_;
+};
+
+TestDirs* const test_dirs = static_cast<TestDirs*>(
+    ::testing::AddGlobalTestEnvironment(new TestDirs));
+
+std::string test_dir() { return test_dirs->current(); }
+
+/// Writes the paper example into the test's directory and returns its
+/// path.
+std::string fig1_path() {
+  const std::string path = test_dir() + "fig1.loop";
+  std::ofstream out(path);
+  out << "doacross I = 1, 100\n"
+         "  B[I] = A[I-2] + E[I+1]\n"
+         "  G[I-3] = A[I-1] * E[I+2]\n"
+         "  A[I] = B[I] + C[I+3]\n"
+         "end\n";
   return path;
 }
 
@@ -191,7 +228,7 @@ TEST(SbmpcExitCodes, MissingFileIsAnInputError) {
 }
 
 TEST(SbmpcExitCodes, MalformedSourceIsAnInputError) {
-  const std::string p = ::testing::TempDir() + "sbmpc_bad.loop";
+  const std::string p = test_dir() + "bad.loop";
   std::ofstream(p) << "doacross I = 1,\n  A[I =\n";
   EXPECT_EQ(run_sbmpc(p), 1);
 }
@@ -243,7 +280,7 @@ TEST(SbmpcExitCodes, OneBadFileInABatchStillRendersTheRest) {
 /// Like run_sbmpc but captures stdout, so byte-identity across cache
 /// states and transports can be asserted, not just exit codes.
 int run_sbmpc_capture(const std::string& args, std::string* out) {
-  const std::string path = ::testing::TempDir() + "sbmpc_capture.txt";
+  const std::string path = test_dir() + "capture.txt";
   const std::string cmd =
       std::string(SBMPC_PATH) + " " + args + " > " + path + " 2>/dev/null";
   const int raw = std::system(cmd.c_str());
@@ -254,12 +291,6 @@ int run_sbmpc_capture(const std::string& args, std::string* out) {
   return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
 }
 
-std::string fresh_dir(const char* name) {
-  const std::string dir = ::testing::TempDir() + name;
-  std::system(("rm -rf " + dir).c_str());
-  return dir;
-}
-
 /// The flag set the cache tests run with — the full rendering surface,
 /// so the byte-identity assertion covers every dump path a cached
 /// report feeds (schedule, stats, comparison, validation verdicts).
@@ -268,7 +299,7 @@ std::string render_flags() {
 }
 
 TEST(SbmpcScheduleCache, WarmRunsAreByteIdenticalToCold) {
-  const std::string dir = fresh_dir("sbmpc_cache");
+  const std::string dir = test_dir() + "cache";
   const std::string args =
       render_flags() + "--cache-dir " + dir + " " + fig1_path();
   std::string cold;
@@ -285,7 +316,7 @@ TEST(SbmpcScheduleCache, WarmRunsAreByteIdenticalToCold) {
 }
 
 TEST(SbmpcScheduleCache, SuiteWarmRunIsByteIdentical) {
-  const std::string dir = fresh_dir("sbmpc_cache_suite");
+  const std::string dir = test_dir() + "cache";
   const std::string args = "--list-benchmarks --cache-dir " + dir;
   std::string cold;
   ASSERT_EQ(run_sbmpc_capture(args, &cold), 0);
@@ -295,7 +326,7 @@ TEST(SbmpcScheduleCache, SuiteWarmRunIsByteIdentical) {
 }
 
 TEST(SbmpcScheduleCache, CorruptedEntriesAreRecompiledNotServed) {
-  const std::string dir = fresh_dir("sbmpc_cache_corrupt");
+  const std::string dir = test_dir() + "cache";
   const std::string args =
       render_flags() + "--cache-dir " + dir + " " + fig1_path();
   std::string cold;
@@ -422,7 +453,7 @@ TEST(SbmpdDaemon, RemoteRunsAreByteIdenticalToLocalRuns) {
 }
 
 TEST(SbmpdDaemon, RemoteSuiteRunIsByteIdentical) {
-  const std::string dir = fresh_dir("sbmpd_cache");
+  const std::string dir = test_dir() + "cache";
   DaemonGuard daemon("--cache-dir " + dir);
   ASSERT_TRUE(daemon.ready()) << "sbmpd did not come up";
   std::string local;
@@ -483,7 +514,7 @@ TEST(SbmpdDaemon, FallbackLocalSurvivesTheDaemonDyingMidRun) {
 }
 
 TEST(SbmpdDaemon, PerConnectionRequestLimitForcesTransparentReconnects) {
-  const std::string second = ::testing::TempDir() + "sbmpc_stencil.loop";
+  const std::string second = test_dir() + "stencil.loop";
   std::ofstream(second) << "doacross I = 1, 100\n"
                            "  U[I] = (U[I-1] + V[I]) * w1 + V[I+1] * w2\n"
                            "  R[I] = V[I-2] * w3 + V[I+2]\n"
@@ -546,8 +577,7 @@ TEST(SbmpdDaemon, StatFrameReturnsAVersionedSnapshot) {
 }
 
 TEST(SbmpdDaemon, MetricsDumpEmitsPrometheusTextOnDrain) {
-  const std::string dump = ::testing::TempDir() + "sbmpd_metrics.txt";
-  ::unlink(dump.c_str());
+  const std::string dump = test_dir() + "metrics.txt";
   {
     DaemonGuard daemon("--metrics-dump", dump);
     ASSERT_TRUE(daemon.ready()) << "sbmpd did not come up";
@@ -589,8 +619,7 @@ TEST(SbmpdDaemon, MetricsDumpEmitsPrometheusTextOnDrain) {
 #endif  // SBMPD_PATH
 
 TEST(SbmpcTrace, TraceOutEmitsValidatedJsonAndChangesNoOutput) {
-  const std::string trace = ::testing::TempDir() + "sbmpc_trace.json";
-  ::unlink(trace.c_str());
+  const std::string trace = test_dir() + "trace.json";
   std::string untraced;
   ASSERT_EQ(run_sbmpc_capture(render_flags() + fig1_path(), &untraced), 0);
   std::string traced;
