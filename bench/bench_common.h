@@ -150,8 +150,7 @@ inline CasePair run_case(const PerfectBenchmark& bench,
   CasePair totals;
   for (const auto& loop : bench.program().loops) {
     if (analyze_dependences(loop).is_doall()) continue;
-    const SchedulerComparison cmp =
-        compare_schedulers_cached(loop, options, cache);
+    const SchedulerComparison cmp = compare_schedulers(loop, options, cache);
     totals.ta += cmp.baseline.parallel_time();
     totals.tb += cmp.improved.parallel_time();
   }
@@ -193,7 +192,7 @@ inline std::vector<std::array<CasePair, 4>> run_all_cases(int jobs = 1) {
         const Cell& cell = cells[static_cast<std::size_t>(i)];
         const Loop& loop = programs[cell.b].loops[cell.l];
         if (analyze_dependences(loop).is_doall()) return;
-        const SchedulerComparison cmp = compare_schedulers_cached(
+        const SchedulerComparison cmp = compare_schedulers(
             loop, case_options(kPaperCases[cell.c]), &cache);
         partial[static_cast<std::size_t>(i)] = {cmp.baseline.parallel_time(),
                                                 cmp.improved.parallel_time()};

@@ -375,7 +375,7 @@ int main(int argc, char** argv) {
                    options.iterations = 100;
                    options.processors = procs[static_cast<std::size_t>(i)];
                    cmps[static_cast<std::size_t>(i)] =
-                       compare_schedulers_cached(loop, options, &cache);
+                       compare_schedulers(loop, options, &cache);
                  });
     TextTable table;
     table.set_header({"P", "list", "sync-aware", "speedup(sync-aware)"});
@@ -421,7 +421,7 @@ int main(int argc, char** argv) {
                        machines::paper(widths[cell.w], 1);
                    options.iterations = 100;
                    const SchedulerComparison cmp =
-                       compare_schedulers_cached(loop, options, &cache);
+                       compare_schedulers(loop, options, &cache);
                    partial[static_cast<std::size_t>(i)] = {
                        cmp.baseline.parallel_time(),
                        cmp.improved.parallel_time()};
@@ -462,7 +462,7 @@ int main(int argc, char** argv) {
                    options.machine = machines::paper(4, 1);
                    options.iterations = 100;
                    cmps[static_cast<std::size_t>(i)] =
-                       compare_schedulers_cached(loop, options, &cache);
+                       compare_schedulers(loop, options, &cache);
                  });
     TextTable table;
     table.set_header({"d", "list", "sync-aware", "analytic n/d shape"});
@@ -491,7 +491,7 @@ int main(int argc, char** argv) {
                        nets[static_cast<std::size_t>(i)];
                    options.iterations = 100;
                    cmps[static_cast<std::size_t>(i)] =
-                       compare_schedulers_cached(loop, options, &cache);
+                       compare_schedulers(loop, options, &cache);
                  });
     TextTable table;
     table.set_header({"signal latency", "list", "sync-aware"});
@@ -520,8 +520,8 @@ int main(int argc, char** argv) {
                    PipelineOptions options;
                    options.machine = machines::paper(4, 1);
                    options.iterations = 0;  // the unrolled trip count
-                   cmps[idx] = compare_schedulers_cached(unrolled[idx],
-                                                         options, &cache);
+                   cmps[idx] =
+                       compare_schedulers(unrolled[idx], options, &cache);
                  });
     TextTable table;
     table.set_header({"factor", "iterations", "list", "sync-aware"});

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sbmp/codegen/codegen.h"
@@ -116,9 +115,6 @@ struct LoopReport {
   Schedule schedule;
   SimResult sim;
   bool doall = false;
-  /// Transformations the restructuring pre-pass applied (only when the
-  /// pipeline ran on a pre-form loop).
-  std::vector<RestructureNote> restructure_notes;
   /// Waits dropped by the access-level redundancy pass (when enabled).
   int waits_eliminated = 0;
   /// True when the never-degrade guard replaced the sync-aware schedule
@@ -179,12 +175,11 @@ class ResultCache;  // sbmp/core/parallel.h
 // Unified compile facade.
 //
 // This is the one front door for "compile this loop (or these loops)
-// under these options": sbmpc, sbmpd, the serving layer and the benches
-// all route through it, so caching, failure folding and instrumentation
-// behave identically everywhere. The older free functions below
-// (run_pipeline, run_pipeline_parallel in parallel.h) remain as thin
-// wrappers for source compatibility and should be treated as deprecated:
-// new call sites use compile().
+// under these options": sbmpc, sbmpd, the serving layer, the benches and
+// the tests all route through it, so caching, failure folding and
+// instrumentation behave identically everywhere. Below it sit only the
+// throwing per-loop pipeline (run_pipeline) it wraps and the scheduler
+// comparison (compare_schedulers) built from that.
 
 /// One unit of compile work. This is also the request type the serving
 /// layer's batch API and the sbmpd wire protocol are built from.
@@ -253,22 +248,6 @@ struct CompileBatchOptions {
 [[nodiscard]] std::vector<std::string> validate_pipeline(
     const LoopReport& report, const PipelineOptions& options);
 
-/// Restructures a pre-form loop (scalar expansion, reduction
-/// replacement, induction-variable substitution — the paper's Fig 5
-/// front half) and runs the pipeline on the result. Throws SbmpError if
-/// restructuring fails.
-[[nodiscard]] LoopReport run_pipeline(const PreLoop& pre,
-                                      const PipelineOptions& options);
-
-/// Runs the pipeline on each loop of `program` and aggregates.
-[[nodiscard]] ProgramReport run_pipeline(const Program& program,
-                                         const PipelineOptions& options);
-
-/// Parses `source` and runs the pipeline on every loop in it. Throws
-/// SbmpError on parse failure.
-[[nodiscard]] ProgramReport run_pipeline_source(std::string_view source,
-                                                const PipelineOptions& options);
-
 /// Side-by-side result of two schedulers on the same loop, the paper's
 /// core comparison.
 struct SchedulerComparison {
@@ -288,7 +267,11 @@ struct SchedulerComparison {
   [[nodiscard]] double improvement() const;
 };
 
+/// Runs `loop` under list scheduling and under sync-aware scheduling,
+/// both through `cache` (nullptr = uncached). Throws like run_pipeline;
+/// a run that throws caches nothing.
 [[nodiscard]] SchedulerComparison compare_schedulers(
-    const Loop& loop, const PipelineOptions& base_options);
+    const Loop& loop, const PipelineOptions& base_options,
+    ResultCache* cache = nullptr);
 
 }  // namespace sbmp

@@ -455,84 +455,10 @@ std::vector<std::string> validate_pipeline(const LoopReport& report,
   return violations;
 }
 
-LoopReport run_pipeline(const PreLoop& pre, const PipelineOptions& options) {
-  const RestructureResult restructured = restructure_or_throw(pre);
-  if (!restructured.ok)
-    throw SbmpError("restructuring failed for loop '" + pre.name + "'");
-  LoopReport report = run_pipeline(restructured.loop, options);
-  report.restructure_notes = restructured.notes;
-  return report;
-}
-
 StatusCode ProgramReport::worst_status() const {
   StatusCode worst = StatusCode::kOk;
   for (const auto& loop : loops) worst = worst_code(worst, loop.status.code);
   return worst;
-}
-
-namespace core_detail {
-
-LoopReport run_pipeline_caught(const Loop& loop,
-                               const PipelineOptions& options) {
-  try {
-    return run_pipeline(loop, options);
-  } catch (const StatusError& e) {
-    LoopReport stub;
-    stub.name = loop.name;
-    stub.loop = loop;
-    stub.status = e.status();
-    return stub;
-  } catch (const SbmpError& e) {
-    // A stage threw a bare string error: the input does not explain it,
-    // so classify as internal rather than guessing.
-    LoopReport stub;
-    stub.name = loop.name;
-    stub.loop = loop;
-    stub.status = Status::error(StatusCode::kInternal, "pipeline", e.what());
-    return stub;
-  }
-}
-
-void fold_loop_report(ProgramReport& out, std::size_t index,
-                      LoopReport report) {
-  if (!report.status.ok()) {
-    out.failures.push_back({static_cast<std::int64_t>(index),
-                            report.status.to_string()});
-  }
-  // A loop that simulated contributes to the totals even when it failed
-  // validation (the numbers exist and are being reported alongside the
-  // failure); a stub from a thrown stage has no DFG and no numbers.
-  if (report.dfg.has_value()) {
-    if (report.doall) {
-      ++out.doall_loops;
-    } else {
-      ++out.doacross_loops;
-      out.total_parallel_time =
-          sat_add(out.total_parallel_time, report.parallel_time());
-    }
-  }
-  out.loops.push_back(std::move(report));
-}
-
-}  // namespace core_detail
-
-ProgramReport run_pipeline(const Program& program,
-                           const PipelineOptions& options) {
-  // Thin wrapper over the facade: jobs = 1 runs inline in program order
-  // and use_cache = false recompiles every loop, which is exactly the
-  // historical serial engine.
-  std::vector<CompileRequest> requests;
-  requests.reserve(program.loops.size());
-  for (const Loop& loop : program.loops) requests.push_back({loop, options});
-  CompileBatchOptions batch;
-  batch.jobs = 1;
-  batch.use_cache = false;
-  return compile(requests, batch);
-}
-
-ProgramReport run_pipeline_source(std::string_view source,
-                                  const PipelineOptions& options) {
-  return run_pipeline(parse_program_or_throw(source), options);
 }
 
 std::optional<double> SchedulerComparison::improvement_opt() const {
@@ -547,17 +473,6 @@ double SchedulerComparison::improvement() const {
   assert(value.has_value() &&
          "non-positive baseline parallel time: upstream pipeline failure");
   return value.value_or(std::numeric_limits<double>::quiet_NaN());
-}
-
-SchedulerComparison compare_schedulers(const Loop& loop,
-                                       const PipelineOptions& base_options) {
-  SchedulerComparison out;
-  PipelineOptions options = base_options;
-  options.scheduler = SchedulerKind::kList;
-  out.baseline = run_pipeline(loop, options);
-  options.scheduler = SchedulerKind::kSyncAware;
-  out.improved = run_pipeline(loop, options);
-  return out;
 }
 
 }  // namespace sbmp

@@ -152,16 +152,8 @@ std::vector<LoopReport> ScheduleServer::compile_batch(
   std::vector<LoopReport> reports(requests.size());
   parallel_for(options_.jobs, 0, static_cast<std::int64_t>(requests.size()),
                [&](std::int64_t i) {
-                 const CompileRequest& request =
-                     requests[static_cast<std::size_t>(i)];
-                 LoopReport& slot = reports[static_cast<std::size_t>(i)];
-                 try {
-                   slot = compile(request.loop, request.options);
-                 } catch (const StatusError& e) {
-                   slot.name = request.loop.name;
-                   slot.loop = request.loop;
-                   slot.status = e.status();
-                 }
+                 const auto at = static_cast<std::size_t>(i);
+                 reports[at] = compile(requests[at]).report;
                });
   return reports;
 }

@@ -115,14 +115,17 @@ TEST(EndToEnd, SyncAwareTimeInsensitiveToIssueWidth) {
   EXPECT_LT(ratio, 1.7);
 }
 
-TEST(EndToEnd, RunPipelineSourceAggregates) {
+TEST(EndToEnd, CompileBatchAggregatesProgram) {
   const std::string two_loops = std::string(kFig1) + R"(
 do J = 1, 50
   Z[J] = Y[J] * 2
 end
 )";
   PipelineOptions options = paper_options(SchedulerKind::kSyncAware);
-  const ProgramReport report = run_pipeline_source(two_loops, options);
+  std::vector<CompileRequest> requests;
+  for (const Loop& loop : parse_program_or_throw(two_loops).loops)
+    requests.push_back({loop, options});
+  const ProgramReport report = compile(requests);
   ASSERT_EQ(report.loops.size(), 2u);
   EXPECT_EQ(report.doacross_loops, 1);
   EXPECT_EQ(report.doall_loops, 1);

@@ -1,7 +1,8 @@
-// Parallel pipeline engine: byte-identical agreement with the serial
-// engine across job counts, cache correctness, and determinism of the
-// aggregated ProgramReport. Labeled `parallel` in CTest so sanitizer
-// builds (-DSBMP_SANITIZE=thread) can target exactly these tests.
+// Batch compile() engine: byte-identical agreement with the serial
+// batch (jobs = 1, no cache) across job counts, cache correctness, and
+// determinism of the aggregated ProgramReport. Labeled `parallel` in
+// CTest so sanitizer builds (-DSBMP_SANITIZE=thread) can target exactly
+// these tests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 
 #include "sbmp/core/parallel.h"
 #include "sbmp/frontend/parser.h"
+#include "sbmp/obs/trace.h"
 #include "sbmp/perfect/suite.h"
 #include "sbmp/support/thread_pool.h"
 
@@ -50,22 +52,52 @@ std::string render(const ProgramReport& report) {
   return out;
 }
 
+/// One request per loop of `program`, all under `options`.
+std::vector<CompileRequest> requests_of(const Program& program,
+                                        const PipelineOptions& options) {
+  std::vector<CompileRequest> requests;
+  for (const Loop& loop : program.loops) requests.push_back({loop, options});
+  return requests;
+}
+
+/// The batch compile() on `jobs` workers, memoizing through `cache`
+/// (nullptr = a per-call cache).
+ProgramReport compile_on(const std::vector<CompileRequest>& requests,
+                         int jobs, ResultCache* cache = nullptr) {
+  CompileBatchOptions batch;
+  batch.jobs = jobs;
+  return compile(requests, batch, cache);
+}
+
+/// The serial reference: inline in request order, every loop compiled
+/// afresh.
+ProgramReport compile_serial(const std::vector<CompileRequest>& requests) {
+  CompileBatchOptions batch;
+  batch.jobs = 1;
+  batch.use_cache = false;
+  return compile(requests, batch);
+}
+
+/// Asserts that the batch at jobs {2, 8}, with a per-call cache and with
+/// an external one, renders exactly like the serial reference.
+void expect_matches_serial(const std::vector<CompileRequest>& requests,
+                           const std::string& label) {
+  const std::string serial = render(compile_serial(requests));
+  for (const int jobs : {2, 8}) {
+    EXPECT_EQ(serial, render(compile_on(requests, jobs)))
+        << label << " diverged at --jobs " << jobs;
+    ResultCache cache;
+    EXPECT_EQ(serial, render(compile_on(requests, jobs, &cache)))
+        << label << " diverged at --jobs " << jobs << " (external cache)";
+  }
+}
+
 TEST(ParallelEngine, MatchesSerialEngineByteForByte) {
   PipelineOptions options;
   options.machine = machines::paper(4, 1);
   options.iterations = 100;
-  for (const auto& bench : perfect_suite()) {
-    const Program program = bench.program();
-    const std::string serial = render(run_pipeline(program, options));
-    for (const int jobs : {1, 2, 8}) {
-      ParallelOptions parallel;
-      parallel.jobs = jobs;
-      const std::string par =
-          render(run_pipeline_parallel(program, options, parallel));
-      EXPECT_EQ(serial, par)
-          << bench.name << " diverged at --jobs " << jobs;
-    }
-  }
+  for (const auto& bench : perfect_suite())
+    expect_matches_serial(requests_of(bench.program(), options), bench.name);
 }
 
 TEST(ParallelEngine, MatchesSerialUnderListSchedulerAndChecks) {
@@ -77,28 +109,18 @@ TEST(ParallelEngine, MatchesSerialUnderListSchedulerAndChecks) {
   options.scheduler = SchedulerKind::kList;
   options.check_ordering = true;
   options.iterations = 50;
-  const Program program = perfect_suite().front().program();
-  const std::string serial = render(run_pipeline(program, options));
-  for (const int jobs : {2, 8}) {
-    ParallelOptions parallel;
-    parallel.jobs = jobs;
-    EXPECT_EQ(serial, render(run_pipeline_parallel(program, options,
-                                                   parallel)));
-  }
+  const auto& bench = perfect_suite().front();
+  expect_matches_serial(requests_of(bench.program(), options), bench.name);
 }
 
 TEST(ParallelEngine, CacheDeduplicatesRepeatedRuns) {
-  const Program program = perfect_suite().front().program();
-  PipelineOptions options;
+  const std::vector<CompileRequest> requests =
+      requests_of(perfect_suite().front().program(), PipelineOptions{});
   ResultCache cache;
-  ParallelOptions parallel;
-  parallel.jobs = 2;
-  const ProgramReport first =
-      run_pipeline_parallel(program, options, parallel, &cache);
+  const ProgramReport first = compile_on(requests, 2, &cache);
   const std::int64_t misses_after_first = cache.misses();
   EXPECT_GT(misses_after_first, 0);
-  const ProgramReport second =
-      run_pipeline_parallel(program, options, parallel, &cache);
+  const ProgramReport second = compile_on(requests, 2, &cache);
   // The second pass is served entirely from the cache...
   EXPECT_EQ(cache.misses(), misses_after_first);
   EXPECT_GT(cache.hits(), 0);
@@ -145,29 +167,59 @@ end
   ResultCache cache;
   const SchedulerComparison plain = compare_schedulers(loop, options);
   const SchedulerComparison cached =
-      compare_schedulers_cached(loop, options, &cache);
+      compare_schedulers(loop, options, &cache);
   EXPECT_EQ(plain.baseline.parallel_time(), cached.baseline.parallel_time());
   EXPECT_EQ(plain.improved.parallel_time(), cached.improved.parallel_time());
   // A repeat comparison is a pure cache hit with identical results.
   const std::int64_t misses = cache.misses();
   const SchedulerComparison again =
-      compare_schedulers_cached(loop, options, &cache);
+      compare_schedulers(loop, options, &cache);
   EXPECT_EQ(cache.misses(), misses);
   EXPECT_EQ(again.improved.schedule.groups, cached.improved.schedule.groups);
 }
 
+TEST(ParallelEngine, CachedCompareThrowsOnIrregularLoopAndCachesNothing) {
+  // The cache does not soften compare_schedulers' throwing contract: an
+  // irregular dependence throws kInput exactly as the uncached call
+  // does, and no stub report lands in the cache.
+  const Loop loop = parse_single_loop_or_throw(R"(
+doacross I = 1, 30
+  C[2*I] = C[5*I+1] + 1
+end
+)");
+  const PipelineOptions options;
+  ResultCache cache;
+  std::vector<std::string> thrown;
+  for (ResultCache* through : {static_cast<ResultCache*>(nullptr), &cache}) {
+    try {
+      (void)compare_schedulers(loop, options, through);
+      ADD_FAILURE() << "irregular loop compared without throwing";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code, StatusCode::kInput);
+      thrown.push_back(e.status().to_string());
+    }
+  }
+  ASSERT_EQ(thrown.size(), 2u);
+  EXPECT_EQ(thrown[0], thrown[1]);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
 TEST(ParallelEngine, JobsOneBypassesThreading) {
   // jobs = 1 must run inline on the calling thread (the documented
-  // serial escape hatch); verify by observing thread identity.
-  const Program program = perfect_suite().front().program();
+  // serial escape hatch): every phase span the batch traces carries the
+  // caller's thread id.
+  Tracer tracer;
+  { const Tracer::Span caller = Tracer::begin(&tracer, "caller"); }
   PipelineOptions options;
-  ParallelOptions parallel;
-  parallel.jobs = 1;
-  parallel.use_cache = false;
-  const ProgramReport serial = run_pipeline(program, options);
-  const ProgramReport report =
-      run_pipeline_parallel(program, options, parallel);
-  EXPECT_EQ(render(serial), render(report));
+  options.tracer = &tracer;
+  const std::vector<CompileRequest> requests =
+      requests_of(perfect_suite().front().program(), options);
+  compile_on(requests, 1);
+  const std::vector<Tracer::Event> events = tracer.events();
+  ASSERT_GT(events.size(), 1u);
+  ASSERT_STREQ(events.front().name, "caller");
+  for (const Tracer::Event& event : events)
+    EXPECT_EQ(event.tid, events.front().tid) << event.name;
 }
 
 // A three-loop program whose middle loop carries an irregular (non-
@@ -198,10 +250,11 @@ std::string render_failures(const ProgramReport& report) {
 }
 
 TEST(ParallelEngine, FailingBatchIsByteIdenticalAcrossJobCounts) {
-  const Program program = parse_program_or_throw(kMixedBatch);
   PipelineOptions options;
   options.iterations = 50;
-  const ProgramReport serial = run_pipeline(program, options);
+  const std::vector<CompileRequest> requests =
+      requests_of(parse_program_or_throw(kMixedBatch), options);
+  const ProgramReport serial = compile_serial(requests);
   ASSERT_EQ(serial.failures.size(), 1u);
   EXPECT_EQ(serial.failures[0].index, 1);
   EXPECT_EQ(serial.loops[1].status.code, StatusCode::kInput);
@@ -209,10 +262,7 @@ TEST(ParallelEngine, FailingBatchIsByteIdenticalAcrossJobCounts) {
   ASSERT_EQ(serial.loops.size(), 3u);  // the stub is present, in order
   EXPECT_EQ(serial.loops[1].name, "broken");
   for (const int jobs : {1, 2, 8}) {
-    ParallelOptions parallel;
-    parallel.jobs = jobs;
-    const ProgramReport report =
-        run_pipeline_parallel(program, options, parallel);
+    const ProgramReport report = compile_on(requests, jobs);
     EXPECT_EQ(render(serial), render(report)) << "jobs=" << jobs;
     EXPECT_EQ(render_failures(serial), render_failures(report))
         << "jobs=" << jobs;
@@ -302,16 +352,13 @@ TEST(ShardedCache, SingleShardCacheIsByteIdenticalAcrossJobCounts) {
   options.machine = machines::paper(4, 1);
   options.iterations = 100;
   for (const auto& bench : perfect_suite()) {
-    const Program program = bench.program();
+    const std::vector<CompileRequest> requests =
+        requests_of(bench.program(), options);
     for (const int jobs : {1, 2, 8}) {
-      ParallelOptions parallel;
-      parallel.jobs = jobs;
       ResultCache one(1);
       ResultCache sharded;
-      const std::string a =
-          render(run_pipeline_parallel(program, options, parallel, &one));
-      const std::string b =
-          render(run_pipeline_parallel(program, options, parallel, &sharded));
+      const std::string a = render(compile_on(requests, jobs, &one));
+      const std::string b = render(compile_on(requests, jobs, &sharded));
       EXPECT_EQ(a, b) << bench.name << " diverged at --jobs " << jobs;
       EXPECT_EQ(one.size(), sharded.size());
     }

@@ -228,16 +228,20 @@ end
             "S2: t_x[I] = (t_xx[I]*2)\n");
 }
 
-TEST(Restructure, PipelineOverloadCarriesNotes) {
-  const PreLoop pre = parse_single_pre_loop_or_throw(R"(
+TEST(Restructure, RestructuredLoopKeepsNotesAndCompiles) {
+  const RestructureResult restructured =
+      restructure_or_throw(parse_single_pre_loop_or_throw(R"(
 do I = 1, 100
   sum = sum + A[I]
 end
-)");
+)"));
+  ASSERT_TRUE(restructured.ok);
+  ASSERT_EQ(restructured.notes.size(), 1u);
+  EXPECT_TRUE(
+      restructured.applied(RestructureNote::Kind::kReductionReplacement));
   PipelineOptions options;
   options.check_ordering = true;
-  const LoopReport report = run_pipeline(pre, options);
-  ASSERT_EQ(report.restructure_notes.size(), 1u);
+  const LoopReport report = run_pipeline(restructured.loop, options);
   EXPECT_TRUE(report.valid());
   EXPECT_FALSE(report.doall);
   // The partial-sum recurrence serializes: roughly n * span cycles.
@@ -253,13 +257,15 @@ TEST(Restructure, EndToEndSchedulersCorrectOnRestructuredLoops) {
       "k\nend\n",
   };
   for (const char* src : sources) {
-    const PreLoop pre = parse_single_pre_loop_or_throw(src);
+    const RestructureResult restructured =
+        restructure_or_throw(parse_single_pre_loop_or_throw(src));
+    ASSERT_TRUE(restructured.ok) << src;
     for (const auto kind : {SchedulerKind::kList, SchedulerKind::kSyncAware}) {
       PipelineOptions options;
       options.scheduler = kind;
       options.iterations = 60;
       options.check_ordering = true;
-      const LoopReport report = run_pipeline(pre, options);
+      const LoopReport report = run_pipeline(restructured.loop, options);
       EXPECT_TRUE(report.valid()) << src << scheduler_name(kind);
     }
   }

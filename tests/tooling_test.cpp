@@ -432,7 +432,7 @@ class DaemonGuard {
 };
 
 TEST(SbmpdDaemon, RemoteRunsAreByteIdenticalToLocalRuns) {
-  DaemonGuard daemon("--jobs 2");
+  DaemonGuard daemon("");
   ASSERT_TRUE(daemon.ready()) << "sbmpd did not come up";
   std::string local;
   ASSERT_EQ(run_sbmpc_capture(render_flags() + fig1_path(), &local), 0);
@@ -493,7 +493,7 @@ TEST(SbmpdDaemon, FallbackLocalDegradesToExitZeroWithNoDaemon) {
 TEST(SbmpdDaemon, FallbackLocalSurvivesTheDaemonDyingMidRun) {
   std::string local;
   ASSERT_EQ(run_sbmpc_capture("--list-benchmarks", &local), 0);
-  DaemonGuard daemon("--jobs 2");
+  DaemonGuard daemon("");
   ASSERT_TRUE(daemon.ready()) << "sbmpd did not come up";
   // Kill the daemon while the suite run is in flight: whichever
   // requests lose their connection must degrade to local compiles, and

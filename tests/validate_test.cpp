@@ -45,13 +45,14 @@ TEST(ValidatePipeline, CleanOnPaperExampleAndSuite) {
   EXPECT_TRUE(report.validation_violations.empty());
   EXPECT_TRUE(validate_pipeline(report, options).empty());
   for (const auto& bench : perfect_suite()) {
-    ProgramReport program = run_pipeline(bench.program(), options);
-    for (const auto& loop : program.loops)
+    for (const Loop& source : bench.program().loops) {
+      const LoopReport loop = run_pipeline(source, options);
       EXPECT_TRUE(loop.validation_violations.empty())
           << bench.name << "/" << loop.name << ": "
           << (loop.validation_violations.empty()
                   ? ""
                   : loop.validation_violations.front());
+    }
   }
 }
 

@@ -42,10 +42,10 @@ for extra in "" "--eliminate"; do
 done
 
 echo "== non-default machine end-to-end (compile + execute + daemon) =="
-# One machine the legacy --width/--fus flags cannot express (bounded
-# signal buffer, asymmetric FU mix, a 2-cycle load) must travel the
-# whole stack: local compile, real-thread execution, and the canonical
-# desc over the daemon wire with byte-identical output.
+# One machine outside the paper's four cases (bounded signal buffer,
+# asymmetric FU mix, a 2-cycle load) must travel the whole stack: local
+# compile, real-thread execution, and the canonical desc over the daemon
+# wire with byte-identical output.
 mdesc='issue=8 fu=ls:2,mul:2 lat=load:2,muli:3,mul:3,div:6,*:1 buf=3'
 "$root/build/tools/sbmpc" --machine "$mdesc" --execute "$root/samples/fig1.loop"
 sock="$(mktemp -u "${TMPDIR:-/tmp}/sbmpd-check-XXXXXX.sock")"

@@ -6,7 +6,7 @@
 // <socket>` is the matching client and prints byte-identical reports to
 // a local run.
 //
-//   sbmpd --socket PATH [--jobs N] [--cache-dir DIR] [--cache-bytes N]
+//   sbmpd --socket PATH [--cache-dir DIR] [--cache-bytes N]
 //         [--io-timeout-ms N] [--idle-timeout-ms N]
 //         [--max-inflight N] [--max-queue N] [--queue-timeout-ms N]
 //         [--max-conns N] [--max-requests-per-conn N] [--metrics-dump]
@@ -14,8 +14,6 @@
 // Options:
 //   --socket PATH      Unix-domain socket to listen on (required; a
 //                      stale socket file from a dead daemon is replaced)
-//   --jobs N           worker threads for batch compiles inside the
-//                      serving core (0 = hardware threads)
 //   --cache-dir DIR    persistent schedule cache shared with sbmpc
 //   --cache-bytes N    size cap of the persistent cache (default 256 MiB)
 //   --io-timeout-ms N  budget for moving one frame (default 10000; 0
@@ -139,7 +137,7 @@ void drain_conns() {
 [[noreturn]] void usage(const char* message) {
   if (message != nullptr) std::fprintf(stderr, "sbmpd: %s\n", message);
   std::fprintf(stderr,
-               "usage: sbmpd --socket PATH [--jobs N] [--cache-dir DIR]\n"
+               "usage: sbmpd --socket PATH [--cache-dir DIR]\n"
                "             [--cache-bytes N] [--io-timeout-ms N]\n"
                "             [--idle-timeout-ms N] [--max-inflight N]\n"
                "             [--max-queue N] [--queue-timeout-ms N]\n"
@@ -196,8 +194,6 @@ int run(int argc, char** argv) {
       socket_path = next_arg(argc, argv, i);
     } else if (std::strcmp(arg, "--metrics-dump") == 0) {
       metrics_dump = true;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      options.jobs = std::atoi(next_arg(argc, argv, i));
     } else if (std::strcmp(arg, "--cache-dir") == 0) {
       options.cache_dir = next_arg(argc, argv, i);
     } else if (std::strcmp(arg, "--cache-bytes") == 0) {
@@ -248,8 +244,8 @@ int run(int argc, char** argv) {
   ::sigaction(SIGTERM, &sa, nullptr);
   ::sigaction(SIGINT, &sa, nullptr);
 
-  std::fprintf(stderr, "sbmpd: listening on %s (jobs=%d, cache=%s)\n",
-               socket_path.c_str(), options.jobs,
+  std::fprintf(stderr, "sbmpd: listening on %s (cache=%s)\n",
+               socket_path.c_str(),
                options.cache_dir.empty() ? "<memory>"
                                          : options.cache_dir.c_str());
 
