@@ -74,6 +74,7 @@ struct OverloadTally {
 /// healthy daemon must produce (the same bytes the disk cache stores).
 struct Golden {
   Loop loop;
+  std::string source;    ///< loop.to_string(): the request's loop text
   std::string label;
   std::string request;   ///< encoded compile request (no deadline field set)
   std::string report;    ///< encoded LoopReport payload
@@ -130,9 +131,10 @@ bool chaos_trial(ScheduleServer& server, const Golden& golden,
     // harness's stronger check: the payload must be byte-identical to
     // the golden local artifact.
     LoopReport report;
-    const Fingerprint fp = schedule_fingerprint(golden.loop, options);
-    if (Status ds =
-            decode_loop_report(report_payload, options, fp, &report);
+    const Fingerprint fp =
+        schedule_fingerprint(ResultCache::key(golden.source, options));
+    if (Status ds = decode_loop_report(report_payload, options, fp,
+                                       golden.loop, golden.source, &report);
         !ds.ok()) {
       s = Status::error(StatusCode::kInternal, "remote", ds.message);
     } else if (report_payload != golden.report) {
@@ -361,9 +363,9 @@ int run(int argc, char** argv) {
     }
     Golden golden;
     golden.loop = target.loop;
+    golden.source = target.loop.to_string();
     golden.label = target.label;
-    golden.request = encode_compile_request(options_payload,
-                                            target.loop.to_string());
+    golden.request = encode_compile_request(options_payload, golden.source);
     golden.report = encode_loop_report(
         result.report, schedule_fingerprint(target.loop, options));
     goldens.push_back(std::move(golden));

@@ -4,6 +4,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "sbmp/core/pipeline.h"
@@ -65,9 +66,17 @@ class ResultCache {
     std::string payload;
   };
 
-  /// Builds the canonical cache key for (loop, options).
+  /// Builds the canonical cache key for (loop, options): the loop's
+  /// canonical rendering, `loop.to_string()`, then the option block.
   [[nodiscard]] static std::string key(const Loop& loop,
                                        const PipelineOptions& options);
+  /// The same key from a rendering the caller already holds. Text that
+  /// is not some loop's canonical rendering builds a key no key(loop, …)
+  /// equals, so probing with it can only miss.
+  [[nodiscard]] static std::string key(std::string_view rendering,
+                                       const PipelineOptions& options);
+  /// The loop rendering at the head of `key`.
+  [[nodiscard]] static std::string_view rendering_of(std::string_view key);
 
   /// Returns the cached entry for `key`, or nullptr.
   [[nodiscard]] std::shared_ptr<const Entry> lookup_entry(

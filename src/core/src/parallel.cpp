@@ -109,16 +109,30 @@ std::uint64_t next_generation() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+/// Separates the loop rendering from the option block. LoopLang text
+/// and the option block never contain it, so the first one in a key
+/// ends the rendering.
+constexpr char kKeySeparator = '\x1f';
+
 }  // namespace
 
 std::string ResultCache::key(const Loop& loop,
                              const PipelineOptions& options) {
-  std::string out;
-  out.reserve(256);
   // Loop fingerprint: the LoopLang rendering round-trips through the
   // parser, so it pins everything the pipeline reads from the loop.
-  out += loop.to_string();
-  out += '\x1f';
+  return key(loop.to_string(), options);
+}
+
+std::string_view ResultCache::rendering_of(std::string_view key) {
+  return key.substr(0, key.find(kKeySeparator));
+}
+
+std::string ResultCache::key(std::string_view rendering,
+                             const PipelineOptions& options) {
+  std::string out;
+  out.reserve(rendering.size() + 128);
+  out += rendering;
+  out += kKeySeparator;
   const MachineDesc& m = options.machine;
   append_int(out, m.issue_width);
   for (const int count : m.fu_counts) append_int(out, count);

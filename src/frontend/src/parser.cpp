@@ -188,16 +188,16 @@ class Parser {
     }
     PreStatement stmt;
     stmt.loc = peek().loc;
-    const std::string target = std::string(advance().text);
+    std::string target(advance().text);
     if (at(TokKind::kLBracket)) {
       auto lhs_index = parse_subscript(loop.iter_var);
       if (!lhs_index) {
         skip_to_newline();
         return;
       }
-      stmt.lhs = ArrayRef{target, *lhs_index};
+      stmt.lhs = ArrayRef{std::move(target), *lhs_index};
     } else {
-      stmt.scalar_lhs = target;
+      stmt.scalar_lhs = std::move(target);
     }
     if (!expect(TokKind::kAssign, "in assignment")) {
       skip_to_newline();
@@ -287,14 +287,14 @@ class Parser {
       return inner;
     }
     if (at(TokKind::kIdent)) {
-      const std::string name = std::string(advance().text);
+      std::string name(advance().text);
       if (at(TokKind::kLBracket)) {
         auto index = parse_subscript(iter_var);
         if (!index) return std::nullopt;
-        return Expr{ArrayRef{name, *index}};
+        return Expr{ArrayRef{std::move(name), *index}};
       }
       if (name == iter_var) return Expr{IterVar{}};
-      return make_scalar(name);
+      return make_scalar(std::move(name));
     }
     diags_.error(peek().loc, std::string("expected expression, found ") +
                                  tok_kind_name(peek().kind));
@@ -378,9 +378,10 @@ PreLoop parse_single_pre_loop_or_throw(std::string_view source) {
 }
 
 Program parse_program(std::string_view source, DiagEngine& diags) {
-  const PreProgram pre = parse_pre_program(source, diags);
+  PreProgram pre = parse_pre_program(source, diags);
   Program program;
-  for (const auto& pre_loop : pre.loops) {
+  program.loops.reserve(pre.loops.size());
+  for (auto& pre_loop : pre.loops) {
     bool plain = true;
     if (!pre_loop.scalar_inits.empty()) {
       diags.error({}, "loop '" + pre_loop.name +
@@ -398,7 +399,8 @@ Program parse_program(std::string_view source, DiagEngine& diags) {
       }
     }
     if (!plain) continue;
-    if (auto loop = pre_to_plain(pre_loop)) program.loops.push_back(*loop);
+    if (auto loop = pre_to_plain(std::move(pre_loop)))
+      program.loops.push_back(std::move(*loop));
   }
   return program;
 }

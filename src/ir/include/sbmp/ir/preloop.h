@@ -55,7 +55,9 @@ struct PreProgram {
                                                   const std::string& iter_var);
 
 /// Converts a scalar-free PreLoop into a plain Loop (assigning statement
-/// ids); returns nullopt when scalar definitions or inits remain.
-[[nodiscard]] std::optional<Loop> pre_to_plain(const PreLoop& pre);
+/// ids), moving its names and expression trees; returns nullopt when
+/// scalar definitions or inits remain. Pass an rvalue to avoid copying
+/// the trees.
+[[nodiscard]] std::optional<Loop> pre_to_plain(PreLoop pre);
 
 }  // namespace sbmp

@@ -1,5 +1,7 @@
 #include "sbmp/ir/preloop.h"
 
+#include <utility>
+
 namespace sbmp {
 
 std::string pre_statement_to_string(const PreStatement& s,
@@ -33,21 +35,23 @@ std::string PreLoop::to_string() const {
   return out;
 }
 
-std::optional<Loop> pre_to_plain(const PreLoop& pre) {
+std::optional<Loop> pre_to_plain(PreLoop pre) {
+  if (!pre.scalar_inits.empty()) return std::nullopt;
+  for (const auto& s : pre.body)
+    if (s.is_scalar()) return std::nullopt;
   Loop loop;
-  loop.name = pre.name;
-  loop.iter_var = pre.iter_var;
+  loop.name = std::move(pre.name);
+  loop.iter_var = std::move(pre.iter_var);
   loop.lower = pre.lower;
   loop.upper = pre.upper;
   loop.declared_doacross = pre.declared_doacross;
-  loop.array_types = pre.array_types;
-  if (!pre.scalar_inits.empty()) return std::nullopt;
-  for (const auto& s : pre.body) {
-    if (s.is_scalar()) return std::nullopt;
+  loop.array_types = std::move(pre.array_types);
+  loop.body.reserve(pre.body.size());
+  for (auto& s : pre.body) {
     Statement stmt;
     stmt.id = static_cast<int>(loop.body.size()) + 1;
-    stmt.lhs = s.lhs;
-    stmt.rhs = s.rhs;
+    stmt.lhs = std::move(s.lhs);
+    stmt.rhs = std::move(s.rhs);
     stmt.loc = s.loc;
     loop.body.push_back(std::move(stmt));
   }

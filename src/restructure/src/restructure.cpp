@@ -268,7 +268,7 @@ RestructureResult restructure_loop(const PreLoop& pre, DiagEngine& diags) {
   // Leftover inits belong to loop parameters that were never defined in
   // the loop; they impose nothing.
   work.scalar_inits.clear();
-  auto plain = pre_to_plain(work);
+  auto plain = pre_to_plain(std::move(work));
   if (!plain) {
     diags.error({}, "restructuring left scalar statements behind in loop '" +
                         pre.name + "'");

@@ -1,6 +1,9 @@
 #include "sbmp/sched/validate.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <tuple>
 
 namespace sbmp {
 
@@ -47,25 +50,35 @@ std::vector<std::string> verify_sync_pairing(const TacFunction& tac,
     violations.push_back(std::move(msg));
   };
 
+  // One pass over the TAC counts the sends on each stream and the wait
+  // instructions realizing each sync-layer wait, keyed (stream,
+  // distance, sink); the checks below read the counts instead of
+  // rescanning the TAC.
+  std::map<int, int> sends_on_stream;
+  std::map<std::tuple<int, std::int64_t, int>, int> waits_realized;
+  for (const auto& wait : synced.waits)
+    waits_realized[{wait.signal_stmt, wait.distance, wait.sink_stmt}] = 0;
+  for (const auto& instr : tac.instrs) {
+    if (instr.op == Opcode::kSend) {
+      ++sends_on_stream[instr.signal_stmt];
+    } else if (instr.op == Opcode::kWait) {
+      const auto it = waits_realized.find(
+          {instr.signal_stmt, instr.sync_distance, instr.stmt_id});
+      if (it != waits_realized.end()) ++it->second;
+    }
+  }
+
   // Every sync-layer operation must be realized exactly once.
   for (const auto& send : synced.sends) {
-    int count = 0;
-    for (const auto& instr : tac.instrs)
-      if (instr.op == Opcode::kSend && instr.signal_stmt == send.signal_stmt)
-        ++count;
+    const int count = sends_on_stream[send.signal_stmt];
     if (count != 1)
       complain("Send_Signal(S" + std::to_string(send.signal_stmt) +
                ") realized " + std::to_string(count) +
                " times, expected exactly 1");
   }
   for (const auto& wait : synced.waits) {
-    int count = 0;
-    for (const auto& instr : tac.instrs)
-      if (instr.op == Opcode::kWait &&
-          instr.signal_stmt == wait.signal_stmt &&
-          instr.sync_distance == wait.distance &&
-          instr.stmt_id == wait.sink_stmt)
-        ++count;
+    const int count =
+        waits_realized[{wait.signal_stmt, wait.distance, wait.sink_stmt}];
     if (count == 0 && !waits_eliminated)
       complain("Wait_Signal(S" + std::to_string(wait.signal_stmt) + ", " +
                synced.loop.iter_var + "-" + std::to_string(wait.distance) +
@@ -83,25 +96,15 @@ std::vector<std::string> verify_sync_pairing(const TacFunction& tac,
   // distance.
   for (const auto& instr : tac.instrs) {
     if (instr.op == Opcode::kWait) {
-      const bool known =
-          std::any_of(synced.waits.begin(), synced.waits.end(),
-                      [&](const WaitOp& w) {
-                        return w.signal_stmt == instr.signal_stmt &&
-                               w.distance == instr.sync_distance &&
-                               w.sink_stmt == instr.stmt_id;
-                      });
-      if (!known)
+      if (!waits_realized.contains(
+              {instr.signal_stmt, instr.sync_distance, instr.stmt_id}))
         complain("wait instr " + std::to_string(instr.id) +
                  " matches no sync-layer Wait_Signal");
       if (instr.sync_distance < 1)
         complain("wait instr " + std::to_string(instr.id) +
                  " has non-positive distance " +
                  std::to_string(instr.sync_distance));
-      int partners = 0;
-      for (const auto& other : tac.instrs)
-        if (other.op == Opcode::kSend &&
-            other.signal_stmt == instr.signal_stmt)
-          ++partners;
+      const int partners = sends_on_stream[instr.signal_stmt];
       if (partners != 1)
         complain("wait instr " + std::to_string(instr.id) + " on stream S" +
                  std::to_string(instr.signal_stmt) + " has " +

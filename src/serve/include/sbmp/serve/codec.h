@@ -14,17 +14,20 @@ namespace sbmp {
 /// cache and the sbmpd wire protocol.
 ///
 /// A cached entry does NOT store every LoopReport member. The pipeline
-/// is deterministic in (loop, options), so the cheap front half — parse,
+/// is deterministic in (loop, options), so the cheap front half —
 /// dependence analysis, synchronization insertion, codegen, DFG — is
-/// recomputed on load from the canonical loop source, and only the
-/// expensive, derived artifacts are stored: the schedule, the simulated
-/// cycle counts, and the violation/status verdicts. Recomputing the
-/// front half on load is also what makes the safety contract cheap to
-/// enforce: the decoder re-runs verify_schedule and (when the options
-/// ask for validation) validate_pipeline against the *reconstructed*
-/// state, so a stale or tampered entry whose schedule no longer fits the
-/// loop is rejected as a miss instead of shipping a mis-synchronized
-/// schedule.
+/// recomputed on load, and only the expensive, derived artifacts are
+/// stored: the schedule, the simulated cycle counts, and the
+/// violation/status verdicts. The entry also keeps the loop's canonical
+/// rendering (Loop::to_string()). A caller that holds the requested Loop
+/// passes it with its rendering: the decoder byte-compares the stored
+/// text with that rendering instead of parsing it, and re-derives the
+/// front half from the caller's Loop. Recomputing the front half on load
+/// is also what makes the safety contract cheap to enforce: the decoder
+/// re-runs verify_schedule and (when the options ask for validation)
+/// validate_pipeline against the *reconstructed* state, so a stale or
+/// tampered entry whose schedule no longer fits the loop is rejected as
+/// a miss instead of shipping a mis-synchronized schedule.
 
 /// Version of the cache entry format AND of everything fingerprinted
 /// into the cache key. Bump it whenever either changes meaning: the
@@ -52,13 +55,22 @@ inline constexpr std::int64_t kScheduleCacheFormatVersion = 1;
 [[nodiscard]] std::string encode_loop_report(const LoopReport& report,
                                              const Fingerprint& fingerprint);
 
-/// Decodes `payload` into a full LoopReport, recomputing the front half
-/// of the pipeline under `options` and re-verifying the stored schedule
-/// (see the file comment). Returns a non-ok Status — and leaves `*out`
+/// Decodes `payload` as the report of compiling `loop` under `options`,
+/// recomputing the front half of the pipeline from `loop` and
+/// re-verifying the stored schedule (see the file comment). `rendering`
+/// must be `loop.to_string()`, which the caller already holds (it heads
+/// the cache key). Returns a non-ok Status — and leaves `*out`
 /// unspecified — when the payload is corrupt, was written by another
-/// format version, does not match `expected` (content address mismatch),
-/// or fails re-validation; the caller treats every such status as a
-/// cache miss.
+/// format version, does not match `expected` (content address
+/// mismatch), stores another loop's text, or fails re-validation; the
+/// caller treats every such status as a cache miss.
+[[nodiscard]] Status decode_loop_report(const std::string& payload,
+                                        const PipelineOptions& options,
+                                        const Fingerprint& expected, Loop loop,
+                                        std::string_view rendering,
+                                        LoopReport* out);
+/// The same decode for a caller without the Loop: parses the stored
+/// loop text and decodes against that.
 [[nodiscard]] Status decode_loop_report(const std::string& payload,
                                         const PipelineOptions& options,
                                         const Fingerprint& expected,

@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -147,6 +148,14 @@ class ScheduleServer {
   /// compile().
   [[nodiscard]] std::shared_ptr<const ResultCache::Entry> compile_entry(
       const Loop& loop, const PipelineOptions& options);
+  /// compile_entry() for a loop given as LoopLang `source`, as a wire
+  /// request carries it. Source that is a cached loop's canonical
+  /// rendering is served by a memory probe without parsing; any other
+  /// source is parsed (throwing SbmpError when it does not hold exactly
+  /// one loop) and compiled as above. Either way the request is counted
+  /// once.
+  [[nodiscard]] std::shared_ptr<const ResultCache::Entry> compile_entry(
+      std::string_view source, const PipelineOptions& options);
 
   /// Compiles every request on the pool. Order-stable: result i belongs
   /// to request i, and a failed request yields a stub report carrying

@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "sbmp/core/parallel.h"
 #include "sbmp/serve/codec.h"
 #include "sbmp/serve/protocol.h"
 #include "sbmp/serve/transport.h"
@@ -192,13 +193,17 @@ LoopReport RemoteCompiler::compile(const Loop& loop,
       if (s.ok() && !remote_status.ok()) s = remote_status;
     }
     if (s.ok()) {
-      // Trust-but-verify: decode re-runs the pipeline front half and
-      // the verification gates locally against the options we asked
-      // for. NEVER retried — a daemon handing back artifacts that fail
-      // local re-validation will do it again.
+      // Trust-but-verify: decode re-runs the pipeline front half from
+      // `loop` and the verification gates locally against the options
+      // we asked for. The request's rendering keys the fingerprint and
+      // is what the stored loop text must equal, so the loop is
+      // rendered once. NEVER retried — a daemon handing back artifacts
+      // that fail local re-validation will do it again.
       LoopReport report;
-      const Fingerprint fp = schedule_fingerprint(loop, options);
-      if (Status ds = decode_loop_report(report_payload, options, fp, &report);
+      const Fingerprint fp =
+          schedule_fingerprint(ResultCache::key(loop_source, options));
+      if (Status ds = decode_loop_report(report_payload, options, fp, loop,
+                                         loop_source, &report);
           !ds.ok())
         throw_status(Status::error(
             StatusCode::kInternal, "remote",

@@ -1,6 +1,7 @@
 #include "sbmp/serve/codec.h"
 
 #include <charconv>
+#include <optional>
 #include <utility>
 
 #include "sbmp/core/parallel.h"
@@ -113,9 +114,14 @@ std::string encode_loop_report(const LoopReport& report,
   return w.finish();
 }
 
-Status decode_loop_report(const std::string& payload,
-                          const PipelineOptions& options,
-                          const Fingerprint& expected, LoopReport* out) {
+namespace {
+
+/// The one decode body. With `loop` set, the stored loop text must equal
+/// `rendering` (the caller's loop.to_string()) and the front half is
+/// re-derived from *loop; without it, the stored text is parsed.
+Status decode_entry(const std::string& payload, const PipelineOptions& options,
+                    const Fingerprint& expected, std::optional<Loop> loop,
+                    std::string_view rendering, LoopReport* out) {
   RecordReader r;
   if (Status s = RecordReader::open(payload, &r); !s.ok()) return s;
 
@@ -131,9 +137,14 @@ Status decode_loop_report(const std::string& payload,
     return reject("entry fingerprint does not match the requested key");
 
   LoopReport report;
-  std::string loop_source;
+  std::string loop_text;
   if (Status s = r.read_string("name", &report.name); !s.ok()) return s;
-  if (Status s = r.read_string("loop", &loop_source); !s.ok()) return s;
+  if (Status s = r.read_string("loop", &loop_text); !s.ok()) return s;
+  // The entry must describe the requested loop. Comparing the stored
+  // canonical text with the caller's rendering proves that without a
+  // parse: equal renderings are the same loop to every stage.
+  if (loop && loop_text != rendering)
+    return reject("cached loop text differs from the requested loop");
   std::int64_t doall = 0;
   std::int64_t stored_waits = 0;
   std::int64_t fallback = 0;
@@ -144,10 +155,12 @@ Status decode_loop_report(const std::string& payload,
     return s;
 
   // Reconstruct the deterministic front half of the pipeline from the
-  // canonical source. Any exception here means the entry does not
-  // describe a compilable loop — a miss, never a crash.
+  // requested loop (or the stored text's), exactly as run_pipeline
+  // does. Any exception here means the entry does not describe a
+  // compilable loop — a miss, never a crash.
   try {
-    report.loop = parse_single_loop_or_throw(loop_source);
+    report.loop =
+        loop ? std::move(*loop) : parse_single_loop_or_throw(loop_text);
     report.deps = analyze_dependences(report.loop);
     if (!report.deps.is_synchronizable())
       return reject("cached loop is not synchronizable; the pipeline would "
@@ -156,10 +169,10 @@ Status decode_loop_report(const std::string& payload,
         insert_synchronization(report.loop, report.deps, options.sync);
     report.tac = generate_tac(report.synced);
     if (options.eliminate_redundant_waits) {
-      // dfg_out always matches the returned TAC, so no rebuild here.
-      report.tac = eliminate_redundant_waits(report.tac, options.machine,
-                                             &report.waits_eliminated,
-                                             &report.dfg);
+      // dfg_out always matches the resulting TAC, so no rebuild here.
+      eliminate_redundant_waits_inplace(report.tac, options.machine,
+                                        &report.waits_eliminated,
+                                        &report.dfg);
     } else {
       report.dfg.emplace(report.tac, options.machine);
     }
@@ -288,6 +301,22 @@ Status decode_loop_report(const std::string& payload,
   if (!r.at_end()) return reject("trailing fields in cache entry");
   *out = std::move(report);
   return Status::okay();
+}
+
+}  // namespace
+
+Status decode_loop_report(const std::string& payload,
+                          const PipelineOptions& options,
+                          const Fingerprint& expected, LoopReport* out) {
+  return decode_entry(payload, options, expected, std::nullopt, {}, out);
+}
+
+Status decode_loop_report(const std::string& payload,
+                          const PipelineOptions& options,
+                          const Fingerprint& expected, Loop loop,
+                          std::string_view rendering, LoopReport* out) {
+  return decode_entry(payload, options, expected, std::move(loop), rendering,
+                      out);
 }
 
 std::string encode_pipeline_options(const PipelineOptions& options) {

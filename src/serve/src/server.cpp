@@ -1,7 +1,9 @@
 #include "sbmp/serve/server.h"
 
+#include <optional>
 #include <utility>
 
+#include "sbmp/obs/trace.h"
 #include "sbmp/serve/codec.h"
 #include "sbmp/support/thread_pool.h"
 
@@ -49,10 +51,25 @@ std::shared_ptr<const ResultCache::Entry> CachingCompiler::compile_entry(
   };
   const Fingerprint fp = schedule_fingerprint(key);
   if (disk_ != nullptr) {
-    if (auto payload = disk_->load(fp)) {
+    std::optional<std::string> payload;
+    {
+      Tracer::Span span = Tracer::begin(options.tracer, "cache.disk_load");
+      payload = disk_->load(fp);
+      if (span) span.arg("hit", payload.has_value() ? 1 : 0);
+    }
+    if (payload) {
       LoopReport report;
-      if (Status s = decode_loop_report(*payload, options, fp, &report);
-          s.ok()) {
+      Status s;
+      {
+        // The key's head is the loop's rendering, so the decode checks
+        // the stored text against it and re-derives from `loop`: no
+        // parse.
+        Tracer::Span span = Tracer::begin(options.tracer, "codec.decode");
+        s = decode_loop_report(*payload, options, fp, loop,
+                               ResultCache::rendering_of(key), &report);
+        if (span) span.arg("ok", s.ok() ? 1 : 0);
+      }
+      if (s.ok()) {
         return keep(std::move(report), std::move(*payload));
       } else {
         // Stale, corrupt or tampered entry: drop it and recompile. The
@@ -88,6 +105,19 @@ ScheduleServer::ScheduleServer(ServerOptions options)
 LoopReport ScheduleServer::compile(const Loop& loop,
                                    const PipelineOptions& options) {
   return compile_entry(loop, options)->report;
+}
+
+std::shared_ptr<const ResultCache::Entry> ScheduleServer::compile_entry(
+    std::string_view source, const PipelineOptions& options) {
+  // Every stored key heads with a loop's canonical rendering, and
+  // rendering is a fixed point of parse (parse(R).to_string() == R), so
+  // source text that hits is that rendering and parses to a loop with
+  // the stored entry's key. Any other text misses here and is parsed.
+  if (auto hit = memory_.probe_entry(ResultCache::key(source, options))) {
+    requests_->inc();
+    return hit;
+  }
+  return compile_entry(parse_single_loop_or_throw(source), options);
 }
 
 std::shared_ptr<const ResultCache::Entry> ScheduleServer::compile_entry(

@@ -96,11 +96,11 @@ std::string handle_compile_request(ScheduleServer& server,
   std::string response;
   if (status.ok()) {
     try {
-      const Loop loop = parse_single_loop_or_throw(loop_source);
-      // The entry carries the report already encoded, so a warm hit
+      // A warm request is answered by a probe on its text, before any
+      // parse. The entry carries the report already encoded, so a hit
       // frames stored bytes: no report copy, no re-encode.
       response = encode_compile_response(
-          Status::okay(), server.compile_entry(loop, options)->payload);
+          Status::okay(), server.compile_entry(loop_source, options)->payload);
     } catch (const StatusError& e) {
       status = e.status();
     } catch (const SbmpError& e) {

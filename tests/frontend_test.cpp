@@ -2,6 +2,7 @@
 
 #include "sbmp/frontend/lexer.h"
 #include "sbmp/frontend/parser.h"
+#include "sbmp/perfect/suite.h"
 
 namespace sbmp {
 namespace {
@@ -12,6 +13,15 @@ doacross I = 1, 100
   B[I] = A[I-2] + E[I+1]
   G[I-3] = A[I-1] * E[I+2]
   A[I] = B[I] + C[I+3]
+end
+)";
+
+// The compile corpus's stencil (bench_common.h).
+constexpr const char* kStencil = R"(
+doacross I = 1, 100
+  U[I] = (U[I-1] + V[I]) * w1 + V[I+1] * w2
+  R[I] = V[I-2] * w3 + V[I+2]
+  Q[I] = R[I] + V[I] / w4
 end
 )";
 
@@ -213,13 +223,27 @@ end
 }
 
 TEST(Parser, LoopRoundTripsThroughToString) {
-  const Loop loop = parse_single_loop_or_throw(kFig1);
-  const Loop again = parse_single_loop_or_throw(loop.to_string());
-  ASSERT_EQ(again.body.size(), loop.body.size());
-  for (std::size_t s = 0; s < loop.body.size(); ++s) {
-    EXPECT_EQ(statement_to_string(again.body[s], again.iter_var),
-              statement_to_string(loop.body[s], loop.iter_var));
+  // Rendering is a fixed point of parse: parse(render(L)) renders back
+  // to exactly render(L). The serving layer probes its cache with
+  // request text on this premise, so the whole text is compared over
+  // the compile corpus (the running example, the stencil) and every
+  // Perfect-suite loop.
+  std::vector<Loop> loops = {parse_single_loop_or_throw(kFig1),
+                             parse_single_loop_or_throw(kStencil)};
+  for (const auto& bench : perfect_suite())
+    for (const Loop& loop : bench.program().loops) loops.push_back(loop);
+  for (const Loop& loop : loops) {
+    SCOPED_TRACE(loop.name);
+    const std::string rendering = loop.to_string();
+    const Loop again = parse_single_loop_or_throw(rendering);
+    EXPECT_EQ(again.to_string(), rendering);
+    ASSERT_EQ(again.body.size(), loop.body.size());
+    for (std::size_t s = 0; s < loop.body.size(); ++s) {
+      EXPECT_EQ(statement_to_string(again.body[s], again.iter_var),
+                statement_to_string(loop.body[s], loop.iter_var));
+    }
   }
+  EXPECT_GT(loops.size(), 20u);
 }
 
 TEST(ExtractAffine, NonAffineShapes) {

@@ -37,14 +37,31 @@ TEST_P(SeededTest, GeneratedLoopsAreDoacross) {
   EXPECT_TRUE(deps.is_synchronizable());
 }
 
-TEST_P(SeededTest, GeneratedLoopsRoundTripThroughParser) {
-  const Loop loop = make_loop(static_cast<std::uint64_t>(GetParam()));
-  const Loop again = parse_single_loop_or_throw(loop.to_string());
+/// Rendering is a fixed point of parse: parse(render(L)) renders back to
+/// exactly render(L). The serving layer probes its cache with request
+/// text on this premise, so the whole text is compared, not only the
+/// statements.
+void expect_rendering_fixed_point(const Loop& loop) {
+  const std::string rendering = loop.to_string();
+  const Loop again = parse_single_loop_or_throw(rendering);
+  EXPECT_EQ(again.to_string(), rendering);
   ASSERT_EQ(again.body.size(), loop.body.size());
   for (std::size_t s = 0; s < loop.body.size(); ++s) {
     EXPECT_EQ(statement_to_string(again.body[s], again.iter_var),
               statement_to_string(loop.body[s], loop.iter_var));
   }
+}
+
+TEST_P(SeededTest, GeneratedLoopsRoundTripThroughParser) {
+  const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
+  expect_rendering_fixed_point(make_loop(seed));
+  // A name, an int array and a negative lower bound: every header line
+  // the rendering can emit must come back too.
+  Loop named = make_loop(seed + 1000);
+  named.name = "gen" + std::to_string(seed);
+  named.lower = -static_cast<std::int64_t>(seed % 3);
+  named.array_types[named.body.front().lhs.array] = ElemType::kInt;
+  expect_rendering_fixed_point(named);
 }
 
 TEST_P(SeededTest, SyncInsertionCoversEveryCarriedDep) {

@@ -389,6 +389,51 @@ TEST(Codec, RejectsOutOfRangeInstructionIds) {
           .ok());
 }
 
+TEST(Codec, DecodeAgainstTheCallersLoopMatchesTheParsingDecode) {
+  for (const char* source : {kPaperExample, kStencil}) {
+    const Loop loop = parse_single_loop_or_throw(source);
+    const PipelineOptions options = codec_options();
+    const Fingerprint fp = schedule_fingerprint(loop, options);
+    const std::string payload =
+        encode_loop_report(run_pipeline(loop, options), fp);
+    LoopReport parsed;
+    ASSERT_TRUE(decode_loop_report(payload, options, fp, &parsed).ok());
+    LoopReport given;
+    ASSERT_TRUE(decode_loop_report(payload, options, fp, loop,
+                                   loop.to_string(), &given)
+                    .ok());
+    EXPECT_EQ(given.loop.to_string(), parsed.loop.to_string());
+    EXPECT_EQ(given.tac.to_string(), parsed.tac.to_string());
+    EXPECT_EQ(given.validation_violations, parsed.validation_violations);
+    EXPECT_EQ(encode_loop_report(given, fp), payload);
+    EXPECT_EQ(encode_loop_report(parsed, fp), payload);
+  }
+}
+
+/// An entry for `loop` whose stored loop text says `do` where the loop
+/// says `doacross`. No stage reads that flag, so the schedule, every
+/// verdict, the fingerprint and the checksum are all those of the real
+/// entry: only the stored text is wrong.
+std::string entry_storing_other_text(const Loop& loop,
+                                     const PipelineOptions& options) {
+  LoopReport report = run_pipeline(loop, options);
+  report.loop.declared_doacross = !report.loop.declared_doacross;
+  return encode_loop_report(report, schedule_fingerprint(loop, options));
+}
+
+TEST(Codec, RejectsStoredLoopTextOtherThanTheRequestedRendering) {
+  const Loop loop = parse_single_loop_or_throw(kPaperExample);
+  const PipelineOptions options = codec_options();
+  const Fingerprint fp = schedule_fingerprint(loop, options);
+  LoopReport out;
+  const Status s =
+      decode_loop_report(entry_storing_other_text(loop, options), options, fp,
+                         loop, loop.to_string(), &out);
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(s.code, StatusCode::kInput);
+  EXPECT_NE(s.message.find("loop text"), std::string::npos) << s.message;
+}
+
 TEST(Codec, PipelineOptionsRoundTrip) {
   PipelineOptions options;
   options.machine = machines::paper(2, 2);
@@ -511,6 +556,31 @@ TEST(CachingCompilerTest, CorruptEntryIsAMissNeverACrash) {
   CachingCompiler compiler2(&memory2, &disk2);
   (void)compiler2.compile(loop, options);
   EXPECT_EQ(compiler2.compiles(), 0);
+}
+
+TEST(CachingCompilerTest, EntryStoringAnotherLoopsTextIsRecompiled) {
+  const std::string dir = fresh_dir("sbmp_other_text");
+  const Loop loop = parse_single_loop_or_throw(kPaperExample);
+  const PipelineOptions options = codec_options();
+  const std::string key = ResultCache::key(loop, options);
+  const Fingerprint fp = schedule_fingerprint(key);
+  const std::string cold = encode_loop_report(run_pipeline(loop, options), fp);
+  const std::string forged = entry_storing_other_text(loop, options);
+  ASSERT_NE(forged, cold);
+  DiskCache(dir, 1 << 20).store(fp, forged);
+
+  DiskCache disk(dir, 1 << 20);
+  ResultCache memory;
+  CachingCompiler compiler(&memory, &disk);
+  const auto entry = compiler.compile_entry(key, loop, options);
+  EXPECT_EQ(compiler.corrupt_entries(), 1);
+  EXPECT_EQ(compiler.compiles(), 1);
+  EXPECT_FALSE(compiler.last_decode_error().ok());
+  EXPECT_EQ(entry->payload, cold);
+  // The recompile replaced the forged entry with the cold bytes.
+  const auto stored = DiskCache(dir, 1 << 20).load(fp);
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(*stored, cold);
 }
 
 // --- schedule server -------------------------------------------------
@@ -1389,6 +1459,43 @@ TEST(ServeWarmHit, DiskHitKeepsTheLoadedBytesAsTheMemoryPayload) {
   EXPECT_EQ(cached.get(), entry.get());
 }
 
+TEST(ServeWarmHit, NonCanonicalTextIsParsedAndServedTheSameBytes) {
+  ScheduleServer server{ServerOptions{}};
+  const PipelineOptions options = codec_options();
+  const std::string canonical =
+      parse_single_loop_or_throw(kPaperExample).to_string();
+  const std::string expected = local_response(kPaperExample, options);
+  const auto request = [&](const std::string& text) {
+    const ServerStats before = server.stats();
+    const std::string response = handle_compile_request(
+        server, nullptr,
+        encode_compile_request(encode_pipeline_options(options), text,
+                               /*deadline_ms=*/0));
+    EXPECT_EQ(server.stats().requests, before.requests + 1) << text;
+    return response;
+  };
+  EXPECT_EQ(request(canonical), expected);  // cold: parsed and compiled
+  ASSERT_EQ(server.stats().compiles, 1);
+
+  // Canonical text is served by the probe; the other spellings of the
+  // same loop miss it, are parsed, and hit under the canonical key.
+  const std::vector<std::string> spellings = {
+      canonical,
+      "# the paper's running example\n" + canonical,
+      "doacross I = 1, 100; B[I] = A[I-2] + E[I+1]; "
+      "G[I-3] = A[I-1] * E[I+2]; A[I] = B[I] + C[I+3]; end\n",
+      "doacross  I =  1 ,100\n  B[ I ]=A[I-2]+E[I+1]\n"
+      "G[I-3]  =  A[I-1]*E[I+2]\n\n  A[I] = B[I] + C[I+3]  ! last\nend",
+  };
+  for (const std::string& text : spellings) {
+    const std::int64_t hits = server.stats().memory_hits;
+    EXPECT_EQ(request(text), expected) << text;
+    EXPECT_EQ(server.stats().memory_hits, hits + 1) << text;
+  }
+  EXPECT_EQ(server.stats().compiles, 1);
+  EXPECT_EQ(server.stats().singleflight_joins, 0);
+}
+
 TEST(ServeWarmHit, KeyTakingFingerprintMatchesOnTheArchsweepGrid) {
   std::vector<Loop> loops = {parse_single_loop_or_throw(kPaperExample),
                              parse_single_loop_or_throw(kStencil)};
@@ -1475,6 +1582,38 @@ TEST(ServeSession, MalformedRequestPayloadIsATypedInputError) {
                   &status, &report_payload)
                   .ok());
   EXPECT_EQ(status.code, StatusCode::kInput);
+}
+
+TEST(ServeSession, UnparsableLoopTextIsATypedParseError) {
+  ScheduleServer server{ServerOptions{}};
+  const PipelineOptions options = codec_options();
+  const std::string canonical =
+      parse_single_loop_or_throw(kPaperExample).to_string();
+  (void)handle_compile_request(server, nullptr,
+                               compile_request_for(kPaperExample, options));
+  const ServerStats warm = server.stats();
+  for (const std::string& text :
+       {std::string("doacross I = 1, 100\n  B[I] = \nend\n"),
+        std::string("not a loop"), std::string(), canonical + "garbage",
+        canonical + canonical}) {
+    Status status;
+    std::string report_payload;
+    ASSERT_TRUE(decode_compile_response(
+                    handle_compile_request(
+                        server, nullptr,
+                        encode_compile_request(encode_pipeline_options(options),
+                                               text, /*deadline_ms=*/0)),
+                    &status, &report_payload)
+                    .ok());
+    EXPECT_EQ(status.code, StatusCode::kInput) << text;
+    EXPECT_EQ(status.stage, "parse") << text;
+    EXPECT_TRUE(report_payload.empty());
+  }
+  // A refused request reaches neither the cache nor the compiler.
+  const ServerStats after = server.stats();
+  EXPECT_EQ(after.requests, warm.requests);
+  EXPECT_EQ(after.memory_hits, warm.memory_hits);
+  EXPECT_EQ(after.compiles, warm.compiles);
 }
 
 TEST(ServeSession, OversizedFrameDrawsATypedRefusalThenTheSessionEnds) {

@@ -641,6 +641,35 @@ TEST(SbmpcTrace, TraceOutEmitsValidatedJsonAndChangesNoOutput) {
   }
 }
 
+TEST(SbmpcTrace, DiskHitsEmitCacheAndDecodeSpans) {
+  // The second run over a warmed --cache-dir serves every loop from
+  // disk; its trace must show the disk load and the codec decode, and
+  // tracing must not change what it prints.
+  const std::string dir = test_dir() + "cache";
+  const std::string trace = test_dir() + "trace.json";
+  const std::string args = "--list-benchmarks --cache-dir " + dir;
+  std::string cold;
+  ASSERT_EQ(run_sbmpc_capture(args, &cold), 0);
+  std::string warm;
+  ASSERT_EQ(run_sbmpc_capture(args, &warm), 0);
+  std::string traced;
+  ASSERT_EQ(run_sbmpc_capture(args + " --trace-out " + trace, &traced), 0);
+  EXPECT_EQ(traced, warm);
+  EXPECT_EQ(traced, cold);
+  const std::string check =
+      std::string(TRACE_CHECK_PATH) + " " + trace + " > /dev/null";
+  EXPECT_EQ(std::system(check.c_str()), 0);
+  std::ifstream in(trace);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string json = buffer.str();
+  for (const char* needle : {"\"cache.disk_load\"", "\"codec.decode\""})
+    EXPECT_NE(json.find(needle), std::string::npos) << needle;
+  // Every loop is a disk hit: no span records a miss or a rejection.
+  EXPECT_EQ(json.find("\"hit\":0"), std::string::npos);
+  EXPECT_EQ(json.find("\"ok\":0"), std::string::npos);
+}
+
 #endif  // SBMPC_PATH
 
 }  // namespace
