@@ -315,9 +315,6 @@ struct CompilePerf {
   /// ((sbmp_compile_fallback_skipped + sbmp_compile_fallback_sim_skipped)
   /// / sbmp_compile_loops over the traced pass).
   double fallback_skip_rate = 0.0;
-  /// Fraction of cache hits served by the thread-local L1 front-cache
-  /// during the cache-hit pass (single thread → expected ~1.0).
-  double l1_hit_rate = 0.0;
   std::uint64_t allocs_per_compile = 0;  ///< 0 when no interposer
   std::string schedule_fingerprint;      ///< 16 hex chars
   std::vector<PhasePerf> phases;         ///< traced pass, pipeline order
@@ -428,7 +425,7 @@ inline CompilePerf run_compile_perf(int reps = 7) {
   for (int r = 0; r < 50; ++r) {
     for (const auto& key : keys) {
       const auto t0 = clock::now();
-      const auto hit = cache.lookup(key);
+      const auto hit = cache.lookup_entry(key);
       hit_ns.push_back(ns_since(t0));
       if (hit == nullptr) std::abort();  // a miss here is harness breakage
     }
@@ -437,9 +434,6 @@ inline CompilePerf run_compile_perf(int reps = 7) {
   perf.cache_hit_p50_ns = percentile_ns(scratch, 0.50);
   scratch = hit_ns;
   perf.cache_hit_p99_ns = percentile_ns(scratch, 0.99);
-  if (cache.hits() > 0)
-    perf.l1_hit_rate = static_cast<double>(cache.l1_hits()) /
-                       static_cast<double>(cache.hits());
 
   // Per-phase latency breakdown from a separate *traced* pass, so the
   // uninstrumented numbers above measure exactly what production runs
@@ -488,16 +482,17 @@ inline CompilePerf run_compile_perf(int reps = 7) {
 
 /// v2 added "phase_ns" (per-phase p50/p99 from the traced pass); v3
 /// added "scaling_curve": measured loops/sec at every jobs level of the
-/// {1, 2, 4, 8, 16} sweep; v4 adds "fallback_skip_rate" (fraction of
+/// {1, 2, 4, 8, 16} sweep; v4 added "fallback_skip_rate" (fraction of
 /// compiles whose never-degrade fallback the analytic pre-filter
-/// skipped) and "l1_hit_rate" (cache hits served by the thread-local
-/// L1). The check-mode reader scans scalar fields by key, so older
-/// files remain checkable against a v4 binary and vice versa.
+/// skipped) and "l1_hit_rate"; v5 drops "l1_hit_rate" with the
+/// ResultCache front-cache it measured. The check-mode reader scans
+/// scalar fields by key, so older files remain checkable against a v5
+/// binary and vice versa.
 inline std::string compile_perf_to_json(const CompilePerf& perf) {
   std::string out;
   appendf(out,
           "{\n"
-          "  \"schema\": \"sbmp-bench-compile-v4\",\n"
+          "  \"schema\": \"sbmp-bench-compile-v5\",\n"
           "  \"corpus_loops\": %d,\n"
           "  \"reps\": %d,\n"
           "  \"compile_ns\": {\"p50\": %lld, \"p99\": %lld},\n"
@@ -515,13 +510,12 @@ inline std::string compile_perf_to_json(const CompilePerf& perf) {
           "},\n"
           "  \"cache_hit_ns\": {\"p50\": %lld, \"p99\": %lld},\n"
           "  \"fallback_skip_rate\": %.3f,\n"
-          "  \"l1_hit_rate\": %.3f,\n"
           "  \"allocs_per_compile\": %llu,\n"
           "  \"schedule_fingerprint\": \"%s\",\n"
           "  \"phase_ns\": {",
           static_cast<long long>(perf.cache_hit_p50_ns),
           static_cast<long long>(perf.cache_hit_p99_ns),
-          perf.fallback_skip_rate, perf.l1_hit_rate,
+          perf.fallback_skip_rate,
           static_cast<unsigned long long>(perf.allocs_per_compile),
           perf.schedule_fingerprint.c_str());
   for (std::size_t i = 0; i < perf.phases.size(); ++i) {

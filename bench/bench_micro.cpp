@@ -163,7 +163,7 @@ void BM_ResultCacheHit(benchmark::State& state) {
   (void)compile({loop, options}, &cache);
   AllocScope allocs(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.lookup(key));
+    benchmark::DoNotOptimize(cache.lookup_entry(key));
   }
 }
 BENCHMARK(BM_ResultCacheHit);

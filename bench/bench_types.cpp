@@ -14,6 +14,7 @@
 #include "sbmp/core/pipeline.h"
 #include "sbmp/perfect/suite.h"
 #include "sbmp/restructure/classify.h"
+#include "sbmp/restructure/restructure.h"
 #include "sbmp/support/strings.h"
 #include "sbmp/support/thread_pool.h"
 #include "sbmp/support/table.h"

@@ -6,6 +6,7 @@
 
 #include "sbmp/core/pipeline.h"
 #include "sbmp/restructure/classify.h"
+#include "sbmp/restructure/restructure.h"
 
 namespace {
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sbmp/codegen/codegen.h"
@@ -10,7 +11,6 @@
 #include "sbmp/dfg/dfg.h"
 #include "sbmp/frontend/parser.h"
 #include "sbmp/machine/machine.h"
-#include "sbmp/restructure/restructure.h"
 #include "sbmp/sched/schedulers.h"
 #include "sbmp/sched/validate.h"
 #include "sbmp/sim/analytic.h"
@@ -196,6 +196,28 @@ struct CompileResult {
 
   [[nodiscard]] bool ok() const { return report.status.ok(); }
 };
+
+/// Returns `run()`, a throwing compile of `loop`, or on a pipeline error
+/// the stub LoopReport{name, loop, status} that every non-throwing
+/// compile facade answers with: a StatusError keeps its status, and a
+/// bare SbmpError, which the input does not explain, is classified
+/// kInternal "pipeline" rather than guessed at.
+template <typename Run>
+[[nodiscard]] LoopReport report_or_stub(const Loop& loop, Run&& run) {
+  Status failure;
+  try {
+    return std::forward<Run>(run)();
+  } catch (const StatusError& e) {
+    failure = e.status();
+  } catch (const SbmpError& e) {
+    failure = Status::error(StatusCode::kInternal, "pipeline", e.what());
+  }
+  LoopReport stub;
+  stub.name = loop.name;
+  stub.loop = loop;
+  stub.status = std::move(failure);
+  return stub;
+}
 
 /// Compiles one request, consulting `cache` (may be nullptr) before
 /// running the pipeline. Never throws pipeline errors.

@@ -1,12 +1,9 @@
 #include "sbmp/core/parallel.h"
 
-#include <array>
-#include <atomic>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "sbmp/support/hash.h"
 #include "sbmp/support/overflow.h"
 #include "sbmp/support/thread_pool.h"
 
@@ -17,96 +14,6 @@ namespace {
 void append_int(std::string& out, std::int64_t value) {
   out += std::to_string(value);
   out += '|';
-}
-
-/// Platform-stable fingerprint of a cache key, shared by shard routing
-/// and the L1 probe. Routing only needs a well-spread value (the shard
-/// map and the L1 both compare full keys), so hash a bounded head + tail
-/// instead of rescanning multi-KB keys: the head covers the loop
-/// rendering, the tail the option block.
-std::uint64_t key_fingerprint(const std::string& key) {
-  constexpr std::size_t kSpan = 64;
-  const std::string_view view(key);
-  std::uint64_t h = hash_bytes(view.substr(0, kSpan)) ^
-                    (key.size() * 0x9e3779b97f4a7c15ull);
-  if (view.size() > kSpan) h ^= hash_bytes(view.substr(view.size() - kSpan));
-  return h;
-}
-
-/// One slot of the thread-local L1 front-cache. `gen` 0 marks an empty
-/// slot; otherwise it names the ResultCache instance the entry belongs
-/// to (ResultCache::generation()), so lookups against any other instance
-/// skip it.
-struct L1Entry {
-  std::uint64_t gen = 0;
-  std::uint64_t hash = 0;
-  std::string key;
-  std::shared_ptr<const ResultCache::Entry> entry;
-};
-
-struct L1Table {
-  std::array<L1Entry, ResultCache::kL1Entries> slots;
-};
-
-/// The calling thread's L1. One table serves every ResultCache instance
-/// (entries are generation-stamped apart), so memory stays bounded at
-/// kL1Entries strings + shared_ptrs per thread for the whole process.
-L1Table& l1_table() {
-  thread_local L1Table table;
-  return table;
-}
-
-constexpr std::uint64_t l1_mask =
-    static_cast<std::uint64_t>(ResultCache::kL1Entries - 1);
-static_assert((ResultCache::kL1Entries &
-               (ResultCache::kL1Entries - 1)) == 0,
-              "L1 probing masks, so the capacity must be a power of two");
-
-/// Stores `entry` under (gen, hash, key) with the two-probe policy:
-/// prefer the home slot, spill to the neighbor when the home slot holds
-/// a live entry of a *different* key, evict the home slot when both are
-/// taken. Same-key slots are refreshed in place.
-void l1_store(std::uint64_t gen, std::uint64_t hash, const std::string& key,
-              std::shared_ptr<const ResultCache::Entry> entry) {
-  L1Table& l1 = l1_table();
-  L1Entry& home = l1.slots[static_cast<std::size_t>(hash & l1_mask)];
-  L1Entry& next = l1.slots[static_cast<std::size_t>((hash + 1) & l1_mask)];
-  L1Entry* slot = &home;
-  if (home.gen != 0 && !(home.gen == gen && home.hash == hash &&
-                         home.key == key)) {
-    if (next.gen == 0 ||
-        (next.gen == gen && next.hash == hash && next.key == key))
-      slot = &next;
-  }
-  slot->gen = gen;
-  slot->hash = hash;
-  slot->key = key;
-  slot->entry = std::move(entry);
-}
-
-/// Returns the L1 entry for (gen, hash, key), or nullptr.
-const std::shared_ptr<const ResultCache::Entry>* l1_find(
-    std::uint64_t gen, std::uint64_t hash, const std::string& key) {
-  L1Table& l1 = l1_table();
-  for (const std::uint64_t probe : {hash, hash + 1}) {
-    const L1Entry& e = l1.slots[static_cast<std::size_t>(probe & l1_mask)];
-    if (e.gen == gen && e.hash == hash && e.key == key) return &e.entry;
-  }
-  return nullptr;
-}
-
-/// The report inside `entry`, sharing the entry's ownership.
-std::shared_ptr<const LoopReport> report_of(
-    std::shared_ptr<const ResultCache::Entry> entry) {
-  if (entry == nullptr) return nullptr;
-  const LoopReport* report = &entry->report;
-  return {std::move(entry), report};
-}
-
-/// Process-global generation source; 0 is reserved for "empty slot".
-std::uint64_t next_generation() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 /// Separates the loop rendering from the option block. LoopLang text
@@ -180,56 +87,24 @@ std::string ResultCache::key(std::string_view rendering,
   return out;
 }
 
-ResultCache::ResultCache(int shards, MetricsRegistry* metrics)
-    : shards_(std::make_unique<Shard[]>(
-          static_cast<std::size_t>(shards > 0 ? shards : 1))),
-      num_shards_(shards > 0 ? shards : 1),
-      generation_(next_generation()),
-      hits_(metrics != nullptr
+ResultCache::ResultCache(MetricsRegistry* metrics)
+    : hits_(metrics != nullptr
                 ? metrics->counter("sbmp_result_cache_hits_total")
                 : &own_hits_),
       misses_(metrics != nullptr
                   ? metrics->counter("sbmp_result_cache_misses_total")
-                  : &own_misses_),
-      l1_hits_(metrics != nullptr
-                   ? metrics->counter("sbmp_result_cache_l1_hits_total")
-                   : &own_l1_hits_) {}
-
-int ResultCache::shard_of(const std::string& key) const {
-  // key_fingerprint is platform-stable (unlike std::hash), so a key's
-  // shard is reproducible across runs — useful for tests and debugging.
-  return static_cast<int>(key_fingerprint(key) %
-                          static_cast<std::uint64_t>(num_shards_));
-}
+                  : &own_misses_) {}
 
 std::shared_ptr<const ResultCache::Entry> ResultCache::find(
     const std::string& key, bool count_miss) const {
-  const std::uint64_t h = key_fingerprint(key);
-  // L1 first: a hit touches no shard mutex and no other thread's lines.
-  if (const auto* cached = l1_find(generation_, h, key)) {
-    hits_->inc();
-    l1_hits_->inc();
-    return *cached;
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = map_.find(key);
+  if (it == map_.end()) {
+    if (count_miss) misses_->inc();
+    return nullptr;
   }
-  const Shard& shard =
-      shards_[static_cast<std::size_t>(h % static_cast<std::uint64_t>(
-          num_shards_))];
-  std::shared_ptr<const Entry> found;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-      if (count_miss) misses_->inc();
-      return nullptr;
-    }
-    hits_->inc();
-    found = it->second;
-  }
-  // Promote outside the shard lock; shards are insert-only, so the entry
-  // just read is the key's entry forever and the L1 copy cannot go
-  // stale.
-  l1_store(generation_, h, key, found);
-  return found;
+  hits_->inc();
+  return it->second;
 }
 
 std::shared_ptr<const ResultCache::Entry> ResultCache::lookup_entry(
@@ -242,44 +117,17 @@ std::shared_ptr<const ResultCache::Entry> ResultCache::probe_entry(
   return find(key, /*count_miss=*/false);
 }
 
-std::shared_ptr<const LoopReport> ResultCache::lookup(
-    const std::string& key) const {
-  return report_of(lookup_entry(key));
-}
-
 std::shared_ptr<const ResultCache::Entry> ResultCache::insert_entry(
     const std::string& key, LoopReport report, std::string payload) {
-  const std::uint64_t h = key_fingerprint(key);
   auto entry = std::make_shared<const Entry>(
       Entry{std::move(report), std::move(payload)});
-  Shard& shard =
-      shards_[static_cast<std::size_t>(h % static_cast<std::uint64_t>(
-          num_shards_))];
-  std::shared_ptr<const Entry> winner;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto [it, inserted] = shard.map.emplace(key, std::move(entry));
-    winner = it->second;
-  }
-  // Write through whichever entry won the race, so this thread's next
-  // lookup is an L1 hit on the canonical shared report.
-  l1_store(generation_, h, key, winner);
-  return winner;
-}
-
-std::shared_ptr<const LoopReport> ResultCache::insert(const std::string& key,
-                                                      LoopReport report) {
-  return report_of(insert_entry(key, std::move(report), std::string()));
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.try_emplace(key, std::move(entry)).first->second;
 }
 
 std::size_t ResultCache::size() const {
-  std::size_t total = 0;
-  for (int s = 0; s < num_shards_; ++s) {
-    const Shard& shard = shards_[static_cast<std::size_t>(s)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.map.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
 }
 
 namespace {
@@ -292,33 +140,8 @@ LoopReport run_cached(const Loop& loop, const PipelineOptions& options,
                       ResultCache* cache) {
   if (cache == nullptr) return run_pipeline(loop, options);
   const std::string key = ResultCache::key(loop, options);
-  if (const auto hit = cache->lookup(key)) return *hit;
-  return *cache->insert(key, run_pipeline(loop, options));
-}
-
-/// run_cached with every per-loop failure converted into a stub
-/// LoopReport carrying the structured status (never throws pipeline
-/// errors).
-LoopReport run_pipeline_caught(const Loop& loop,
-                               const PipelineOptions& options,
-                               ResultCache* cache) {
-  try {
-    return run_cached(loop, options, cache);
-  } catch (const StatusError& e) {
-    LoopReport stub;
-    stub.name = loop.name;
-    stub.loop = loop;
-    stub.status = e.status();
-    return stub;
-  } catch (const SbmpError& e) {
-    // A stage threw a bare string error: the input does not explain it,
-    // so classify as internal rather than guessing.
-    LoopReport stub;
-    stub.name = loop.name;
-    stub.loop = loop;
-    stub.status = Status::error(StatusCode::kInternal, "pipeline", e.what());
-    return stub;
-  }
+  if (const auto hit = cache->lookup_entry(key)) return hit->report;
+  return cache->insert_entry(key, run_pipeline(loop, options), {})->report;
 }
 
 /// Folds one loop's report into the program aggregate: records the
@@ -360,7 +183,9 @@ SchedulerComparison compare_schedulers(const Loop& loop,
 }
 
 CompileResult compile(const CompileRequest& request, ResultCache* cache) {
-  return {run_pipeline_caught(request.loop, request.options, cache)};
+  return {report_or_stub(request.loop, [&] {
+    return run_cached(request.loop, request.options, cache);
+  })};
 }
 
 ProgramReport compile(const std::vector<CompileRequest>& requests,

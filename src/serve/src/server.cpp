@@ -10,20 +10,9 @@
 namespace sbmp {
 
 CompileResult LoopCompiler::compile(const CompileRequest& request) {
-  CompileResult out;
-  try {
-    out.report = compile(request.loop, request.options);
-  } catch (const StatusError& e) {
-    out.report.name = request.loop.name;
-    out.report.loop = request.loop;
-    out.report.status = e.status();
-  } catch (const SbmpError& e) {
-    out.report.name = request.loop.name;
-    out.report.loop = request.loop;
-    out.report.status =
-        Status::error(StatusCode::kInternal, "pipeline", e.what());
-  }
-  return out;
+  return {report_or_stub(request.loop, [&] {
+    return compile(request.loop, request.options);
+  })};
 }
 
 LoopReport DirectCompiler::compile(const Loop& loop,
@@ -96,7 +85,7 @@ ScheduleServer::ScheduleServer(ServerOptions options)
                 : std::make_unique<DiskCache>(options_.cache_dir,
                                               options_.cache_max_bytes,
                                               metrics_)),
-      memory_(ResultCache::kDefaultShards, metrics_),
+      memory_(metrics_),
       compiler_(&memory_, disk_.get(), metrics_),
       requests_(metrics_->counter("sbmp_server_requests_total")),
       singleflight_joins_(
@@ -189,15 +178,9 @@ std::vector<LoopReport> ScheduleServer::compile_batch(
 }
 
 CompileResult ScheduleServer::compile(const CompileRequest& request) {
-  CompileResult out;
-  try {
-    out.report = compile(request.loop, request.options);
-  } catch (const StatusError& e) {
-    out.report.name = request.loop.name;
-    out.report.loop = request.loop;
-    out.report.status = e.status();
-  }
-  return out;
+  return {report_or_stub(request.loop, [&] {
+    return compile(request.loop, request.options);
+  })};
 }
 
 ServerStats ScheduleServer::stats() const {

@@ -1,8 +1,8 @@
 // Batch compile() engine: byte-identical agreement with the serial
-// batch (jobs = 1, no cache) across job counts, cache correctness, and
-// determinism of the aggregated ProgramReport. Labeled `parallel` in
-// CTest so sanitizer builds (-DSBMP_SANITIZE=thread) can target exactly
-// these tests.
+// batch (jobs = 1, no cache) across job counts, cache correctness under
+// concurrent callers, and determinism of the aggregated ProgramReport.
+// Labeled `parallel` in CTest so sanitizer builds
+// (-DSBMP_SANITIZE=thread) can target exactly these tests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,8 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "sbmp/core/parallel.h"
@@ -269,54 +271,99 @@ TEST(ParallelEngine, FailingBatchIsByteIdenticalAcrossJobCounts) {
   }
 }
 
-TEST(ShardedCache, KeysSpreadAcrossShards) {
-  const ResultCache cache;
-  ASSERT_EQ(cache.num_shards(), ResultCache::kDefaultShards);
-  std::vector<int> population(static_cast<std::size_t>(cache.num_shards()), 0);
-  int keys = 0;
-  for (const auto& bench : perfect_suite()) {
-    for (const Loop& loop : bench.program().loops) {
-      for (const auto kind : {SchedulerKind::kList, SchedulerKind::kSyncAware}) {
-        PipelineOptions options;
-        options.scheduler = kind;
-        const int shard = cache.shard_of(ResultCache::key(loop, options));
-        ASSERT_GE(shard, 0);
-        ASSERT_LT(shard, cache.num_shards());
-        ++population[static_cast<std::size_t>(shard)];
-        ++keys;
-      }
-    }
+// --- ResultCache under concurrent callers ---------------------------
+// One mutex guards the table; these run under TSan with the rest of the
+// `parallel` label. Every racer of a key must be handed the one entry
+// that landed first.
+
+constexpr const char* kChainLoop = R"(
+doacross I = 1, 100
+  A1[I] = A4[I-3] + 7
+  A2[I] = X3[I+1] + c3
+  A3[I] = A3[I-3] - X2[I-1]
+  A4[I] = (A1[I+3] / X4[I+3] - X1[I+3]) + A4[I-1]
+end
+)";
+
+/// An entry for `key` whose report is named `name`, inserted into
+/// `cache`; returns the entry the cache kept.
+std::shared_ptr<const ResultCache::Entry> insert_named(
+    ResultCache& cache, const std::string& key, std::string name) {
+  LoopReport report;
+  report.name = std::move(name);
+  return cache.insert_entry(key, std::move(report), {});
+}
+
+TEST(ResultCacheTest, InsertRaceKeepsTheFirstEntry) {
+  // Two threads computing the same key race insert; both are the same
+  // pure computation, so the loser adopts the winner's report and the
+  // table never holds two entries for one key.
+  const Loop loop = parse_single_loop_or_throw(kChainLoop);
+  const PipelineOptions options;
+  ResultCache cache;
+  std::vector<std::thread> threads;
+  std::vector<std::int64_t> times(4, -1);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      times[static_cast<std::size_t>(t)] =
+          compile(CompileRequest{loop, options}, &cache).report.parallel_time();
+    });
   }
-  // The exact spread is hash-dependent; what matters is that routing
-  // actually distributes (no single hot shard) and is deterministic.
-  int used = 0;
-  int max_load = 0;
-  for (const int load : population) {
-    if (load > 0) ++used;
-    max_load = std::max(max_load, load);
-  }
-  EXPECT_GE(used, 4) << keys << " keys collapsed onto " << used << " shards";
-  EXPECT_LT(max_load, keys) << "every key routed to one shard";
-  for (const auto& bench : perfect_suite()) {
-    for (const Loop& loop : bench.program().loops) {
-      const std::string key = ResultCache::key(loop, PipelineOptions{});
-      EXPECT_EQ(cache.shard_of(key), cache.shard_of(key));
-    }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(cache.size(), 1u);
+  for (int t = 1; t < 4; ++t) EXPECT_EQ(times[0], times[t]);
+  EXPECT_EQ(cache.hits() + cache.misses(), 4);
+}
+
+TEST(ResultCacheLayout, RacingInsertsUnderChunkingKeepFirstWinner) {
+  // 4096 racing inserts of one key through the chunked parallel_for
+  // (many chunks, shared pool): exactly one entry may land, and every
+  // racer — whichever chunk it ran in — must be handed that winner.
+  ResultCache cache;
+  constexpr int kInserts = 4096;
+  std::vector<std::shared_ptr<const ResultCache::Entry>> returned(kInserts);
+  parallel_for(8, 0, kInserts, [&](std::int64_t i) {
+    returned[static_cast<std::size_t>(i)] =
+        insert_named(cache, "hot-key", "insert-" + std::to_string(i));
+  });
+  ASSERT_EQ(cache.size(), 1u);
+  const auto winner = cache.lookup_entry("hot-key");
+  ASSERT_NE(winner, nullptr);
+  for (const auto& entry : returned) {
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry.get(), winner.get());
   }
 }
 
-TEST(ShardedCache, RacingInsertsOfOneKeyKeepFirstWinnerEverywhere) {
+TEST(ResultCacheL1, RacingLookupsAcrossThreadsAgreeOnTheShardWinner) {
+  // 8 workers hammering one hot key must all see the single resident
+  // entry.
+  const Loop loop = parse_single_loop_or_throw(kChainLoop);
+  const PipelineOptions options;
+  ResultCache cache;
+  const std::string key = ResultCache::key(loop, options);
+  (void)compile(CompileRequest{loop, options}, &cache);
+  const auto winner = cache.lookup_entry(key);
+  ASSERT_NE(winner, nullptr);
+  parallel_for(8, 0, 512, [&](std::int64_t) {
+    const auto got = cache.lookup_entry(key);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got.get(), winner.get());
+  });
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(ResultCacheConcurrency, RacingInsertsOfOneKeyKeepFirstWinnerEverywhere) {
   ResultCache cache;
   const std::string key = "racing-key";
   constexpr int kInserts = 64;
-  std::vector<std::shared_ptr<const LoopReport>> returned(kInserts);
+  std::vector<std::shared_ptr<const ResultCache::Entry>> returned(kInserts);
   parallel_for(8, 0, kInserts, [&](std::int64_t i) {
-    LoopReport report;
-    report.name = "insert-" + std::to_string(i);
-    returned[static_cast<std::size_t>(i)] = cache.insert(key, std::move(report));
+    returned[static_cast<std::size_t>(i)] =
+        insert_named(cache, key, "insert-" + std::to_string(i));
   });
   ASSERT_EQ(cache.size(), 1u);
-  const auto winner = cache.lookup(key);
+  const auto winner = cache.lookup_entry(key);
   ASSERT_NE(winner, nullptr);
   for (const auto& entry : returned) {
     ASSERT_NE(entry, nullptr);
@@ -325,44 +372,22 @@ TEST(ShardedCache, RacingInsertsOfOneKeyKeepFirstWinnerEverywhere) {
   }
 }
 
-TEST(ShardedCache, ConcurrentDistinctInsertsAllLand) {
+TEST(ResultCacheConcurrency, ConcurrentDistinctInsertsAllLand) {
   ResultCache cache;
   constexpr int kKeys = 256;
   parallel_for(8, 0, kKeys, [&](std::int64_t i) {
-    LoopReport report;
-    report.name = "loop-" + std::to_string(i);
-    (void)cache.insert("key-" + std::to_string(i), std::move(report));
-    // Interleave lookups of earlier keys to stress cross-shard probes.
-    (void)cache.lookup("key-" + std::to_string(i / 2));
+    (void)insert_named(cache, "key-" + std::to_string(i),
+                       "loop-" + std::to_string(i));
+    // Interleave lookups of earlier keys with the inserts.
+    (void)cache.lookup_entry("key-" + std::to_string(i / 2));
   });
   EXPECT_EQ(cache.size(), static_cast<std::size_t>(kKeys));
   for (int i = 0; i < kKeys; ++i) {
-    const auto hit = cache.lookup("key-" + std::to_string(i));
+    const auto hit = cache.lookup_entry("key-" + std::to_string(i));
     ASSERT_NE(hit, nullptr) << "key-" << i;
-    EXPECT_EQ(hit->name, "loop-" + std::to_string(i));
+    EXPECT_EQ(hit->report.name, "loop-" + std::to_string(i));
   }
   EXPECT_GT(cache.hits(), 0);
-}
-
-TEST(ShardedCache, SingleShardCacheIsByteIdenticalAcrossJobCounts) {
-  // Shard count is an internal layout detail: a 1-shard cache (the old
-  // single-mutex table) and the default sharded cache must produce
-  // byte-identical program reports at every job count.
-  PipelineOptions options;
-  options.machine = machines::paper(4, 1);
-  options.iterations = 100;
-  for (const auto& bench : perfect_suite()) {
-    const std::vector<CompileRequest> requests =
-        requests_of(bench.program(), options);
-    for (const int jobs : {1, 2, 8}) {
-      ResultCache one(1);
-      ResultCache sharded;
-      const std::string a = render(compile_on(requests, jobs, &one));
-      const std::string b = render(compile_on(requests, jobs, &sharded));
-      EXPECT_EQ(a, b) << bench.name << " diverged at --jobs " << jobs;
-      EXPECT_EQ(one.size(), sharded.size());
-    }
-  }
 }
 
 // --- Chunked parallel_for on the shared process-wide pool ------------

@@ -117,6 +117,7 @@
 #include "sbmp/serve/server.h"
 #include "sbmp/perfect/suite.h"
 #include "sbmp/restructure/classify.h"
+#include "sbmp/restructure/restructure.h"
 #include "sbmp/sched/stats.h"
 #include "sbmp/sim/fault.h"
 #include "sbmp/sim/trace.h"
