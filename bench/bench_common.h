@@ -183,21 +183,17 @@ inline std::vector<std::array<CasePair, 4>> run_all_cases(int jobs = 1) {
 
   ResultCache cache;
   std::vector<CasePair> partial(cells.size());
-  // Repeated grid runs (the bench loops, check mode's re-measure) tune
-  // this call site's chunk size from measured cell cost.
-  static ChunkTuner grid_tuner;
-  parallel_for(
-      jobs, 0, static_cast<std::int64_t>(cells.size()),
-      [&](std::int64_t i) {
-        const Cell& cell = cells[static_cast<std::size_t>(i)];
-        const Loop& loop = programs[cell.b].loops[cell.l];
-        if (analyze_dependences(loop).is_doall()) return;
-        const SchedulerComparison cmp = compare_schedulers(
-            loop, case_options(kPaperCases[cell.c]), &cache);
-        partial[static_cast<std::size_t>(i)] = {cmp.baseline.parallel_time(),
-                                                cmp.improved.parallel_time()};
-      },
-      &grid_tuner);
+  parallel_for(jobs, 0, static_cast<std::int64_t>(cells.size()),
+               [&](std::int64_t i) {
+                 const Cell& cell = cells[static_cast<std::size_t>(i)];
+                 const Loop& loop = programs[cell.b].loops[cell.l];
+                 if (analyze_dependences(loop).is_doall()) return;
+                 const SchedulerComparison cmp = compare_schedulers(
+                     loop, case_options(kPaperCases[cell.c]), &cache);
+                 partial[static_cast<std::size_t>(i)] = {
+                     cmp.baseline.parallel_time(),
+                     cmp.improved.parallel_time()};
+               });
 
   std::vector<std::array<CasePair, 4>> out(programs.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {

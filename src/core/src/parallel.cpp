@@ -196,18 +196,13 @@ ProgramReport compile(const std::vector<CompileRequest>& requests,
   ResultCache* effective =
       batch.use_cache ? (cache != nullptr ? cache : &local) : nullptr;
 
-  // One process-wide tuner for this call site: batches of loop compiles
-  // are cost-homogeneous enough that the measured ns/item of earlier
-  // batches sizes later batches' chunks (see ChunkTuner).
-  static ChunkTuner compile_tuner;
   std::vector<LoopReport> reports(requests.size());
-  parallel_for(
-      batch.jobs, 0, static_cast<std::int64_t>(requests.size()),
-      [&](std::int64_t i) {
-        reports[static_cast<std::size_t>(i)] =
-            compile(requests[static_cast<std::size_t>(i)], effective).report;
-      },
-      &compile_tuner);
+  parallel_for(batch.jobs, 0, static_cast<std::int64_t>(requests.size()),
+               [&](std::int64_t i) {
+                 reports[static_cast<std::size_t>(i)] =
+                     compile(requests[static_cast<std::size_t>(i)], effective)
+                         .report;
+               });
 
   // Order-stable aggregation: request order, whatever the job count.
   ProgramReport out;

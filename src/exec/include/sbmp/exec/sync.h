@@ -9,16 +9,16 @@
 namespace sbmp {
 
 /// Futex-style parking lot shared by every blocking site of one
-/// executor run (signal waits, the ring-reuse gate, halt). The
-/// handshake mirrors the ThreadPool's sleeper-gated submit: a waiter
-/// registers in the seq_cst `sleepers_` counter before rechecking its
-/// predicate under the mutex; a poster publishes its seq_cst store
-/// first and only touches the mutex when the counter is non-zero. The
-/// seq_cst total order makes the race benign in both directions —
-/// either the poster sees the sleeper and notifies, or the sleeper's
-/// predicate load is ordered after the poster's store and passes — so
-/// the uncontended post path is one atomic load and waits cannot be
-/// missed.
+/// executor run (signal waits, the ring-reuse gate, halt). Posts far
+/// outnumber parks, so the handshake keeps the mutex off the post path:
+/// a waiter registers in the seq_cst `sleepers_` counter before
+/// rechecking its predicate under the mutex; a poster publishes its
+/// seq_cst store first and only touches the mutex when the counter is
+/// non-zero. The seq_cst total order makes the race benign in both
+/// directions — either the poster sees the sleeper and notifies, or the
+/// sleeper's predicate load is ordered after the poster's store and
+/// passes — so the uncontended post path is one atomic load and waits
+/// cannot be missed.
 class WaitHub {
  public:
   struct Outcome {

@@ -125,7 +125,7 @@ struct ServerOptions {
 /// deduplicates identical in-flight requests (single-flight: concurrent
 /// callers of the same (loop, options) share one pipeline run instead of
 /// burning a worker each), consults the two-level cache before
-/// compiling, and fans batches out over the work-stealing ThreadPool.
+/// compiling, and fans batches out over the shared ThreadPool.
 /// The daemon wraps this over a socket; in-process callers (benches,
 /// tests) use it directly.
 class ScheduleServer {

@@ -1,30 +1,22 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace sbmp {
 
-/// Fixed-size work-stealing thread pool.
+/// Fixed-size thread pool over one FIFO queue.
 ///
-/// Each worker owns a deque: it pushes and pops its own work at the back
-/// (LIFO, cache-warm) and steals from other workers at the front (FIFO,
-/// oldest task first), so large tasks submitted early migrate to idle
-/// workers instead of serializing behind their submitter. External
-/// `submit` calls distribute round-robin across the worker deques.
-///
-/// Submission is engineered for the saturated case: a queued-task
-/// counter (no per-queue mutex scans) backs the idle predicate, and the
-/// wake mutex is touched only when a sleeper actually exists, so a busy
-/// pool pays one queue lock and two atomics per task — no
-/// condition-variable traffic at all.
+/// Every `submit` appends to one mutex-guarded deque and wakes one
+/// worker through one condition variable; workers take tasks from the
+/// front. The pool's client, `parallel_for`, balances its work through
+/// a per-call atomic index counter, so the queue only ever holds cheap
+/// runner stubs and needs no per-worker deques or stealing.
 ///
 /// The pool is a pure execution substrate: it imposes no ordering, and
 /// callers that need deterministic results must aggregate by task index
@@ -33,6 +25,7 @@ class ThreadPool {
  public:
   /// Spawns `threads` workers; 0 uses default_thread_count().
   explicit ThreadPool(int threads = 0);
+  /// Runs every queued task, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -51,25 +44,15 @@ class ThreadPool {
   [[nodiscard]] static int default_thread_count();
 
  private:
-  struct WorkQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
+  void worker_loop();
 
-  void worker_loop(std::size_t self);
-  bool try_pop(std::size_t self, std::function<void()>& out);
-  bool try_steal(std::size_t self, std::function<void()>& out);
-
-  std::vector<std::unique_ptr<WorkQueue>> queues_;
   std::vector<std::thread> workers_;
-  std::mutex mu_;  ///< guards the condition variables below
+  std::mutex mu_;  ///< guards everything below
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
-  std::atomic<std::int64_t> pending_{0};  ///< submitted, not yet finished
-  std::atomic<std::int64_t> queued_{0};   ///< sitting in a queue right now
-  std::atomic<int> sleepers_{0};          ///< workers blocked on work_cv_
-  std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> next_queue_{0};  ///< round-robin submit target
+  std::deque<std::function<void()>> tasks_;
+  std::int64_t pending_ = 0;  ///< submitted, not yet finished
+  bool stop_ = false;
 };
 
 /// The process-wide shared pool, created lazily on first use with
@@ -81,53 +64,22 @@ class ThreadPool {
 /// static-destruction-order hazards for late parallel work at exit.
 ThreadPool& shared_thread_pool();
 
-/// Per-call-site adaptive chunk sizing for `parallel_for`.
-///
-/// A call site that owns one of these (typically a function-local
-/// static) gets chunks sized from the *measured* per-item cost of its
-/// previous batches instead of the fixed ~4-chunks-per-worker split:
-/// each runner reads the monotonic clock once per claimed chunk (never
-/// per item), the drained totals update an EWMA ns/item estimate, and
-/// the next call splits the range so one chunk costs roughly
-/// `kTargetChunkNs` — fewer claim/steal transitions for cheap items,
-/// finer rebalancing for expensive ones. The chunk count stays clamped
-/// to [workers, kMaxChunksPerWorker x workers] (and never exceeds the
-/// item count), so every worker still participates and the
-/// failure-aggregation and byte-identity contracts of parallel_for are
-/// untouched — chunking can change only scheduling, never which indices
-/// run or how results aggregate.
-///
-/// Thread-safe: the estimate is one relaxed atomic, and concurrent
-/// parallel_for calls sharing a tuner just race their (equally valid)
-/// updates.
-struct ChunkTuner {
-  /// Target wall-clock cost of one chunk. ~16x a claim's atomic +
-  /// steal overhead even for microsecond items, small enough that an
-  /// 8-worker pool rebalances a 30-item batch of 100µs compiles.
-  static constexpr std::int64_t kTargetChunkNs = 100'000;
-  static constexpr std::int64_t kMaxChunksPerWorker = 32;
-
-  /// EWMA estimate of one item's cost; 0 = no batch measured yet (the
-  /// caller falls back to the fixed heuristic).
-  std::atomic<std::int64_t> ns_per_item{0};
-};
-
 /// Runs `body(i)` for every i in [begin, end) on `pool`, blocking until
-/// all complete. The range is split into contiguous chunks — ~4x per
-/// worker, or adaptively sized when `tuner` is given (see ChunkTuner) —
-/// and the calling thread claims and runs chunks alongside the pool
-/// workers, so a loop is never slower than running it inline. Bodies run
-/// concurrently in unspecified order and every body runs even after
-/// another throws. Failures are aggregated after the loop drains:
+/// all complete. Runners — up to one pool task per extra worker, plus
+/// the calling thread — claim one index at a time from a shared atomic
+/// counter, so load balances item by item and a loop is never slower
+/// than running it inline. Bodies run concurrently in unspecified order
+/// and every body runs even after another throws. Failures are aggregated after the loop drains:
 /// exactly one failed index rethrows the original exception
 /// (type-preserving); several throw one ParallelForError
 /// (sbmp/support/status.h) listing every failed index and message in
 /// index order, so one bad item can never hide the rest of a batch.
-/// Safe to call from multiple threads sharing one pool: completion is
-/// tracked per call, not pool-wide.
+/// Safe to call from multiple threads sharing one pool, and from inside
+/// a body running on that pool: completion is tracked per call, not
+/// pool-wide, and the caller can claim every index itself, so a nested
+/// call never waits on a queued task.
 void parallel_for(ThreadPool& pool, std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& body,
-                  ChunkTuner* tuner = nullptr);
+                  const std::function<void(std::int64_t)>& body);
 
 /// Convenience form running on the shared process-wide pool with
 /// concurrency capped at `jobs` (the cap counts the calling thread,
@@ -138,7 +90,6 @@ void parallel_for(ThreadPool& pool, std::int64_t begin, std::int64_t end,
 /// that bypasses threading entirely. `jobs` 0 uses
 /// ThreadPool::default_thread_count().
 void parallel_for(int jobs, std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& body,
-                  ChunkTuner* tuner = nullptr);
+                  const std::function<void(std::int64_t)>& body);
 
 }  // namespace sbmp

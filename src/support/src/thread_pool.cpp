@@ -1,8 +1,9 @@
 #include "sbmp/support/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <exception>
+#include <memory>
 #include <system_error>
 #include <utility>
 
@@ -51,8 +52,8 @@ struct FailureSet {
     throw ParallelForError(std::move(failures));
   }
 
-  /// Steal the collected state into `out`, leaving this set empty. Used
-  /// by the chunked path so the caller rethrows from a stack-local copy:
+  /// Move the collected state into `out`, leaving this set empty. Used
+  /// by the pooled path so the caller rethrows from a stack-local copy:
   /// the shared per-call block may be destroyed later on a worker thread
   /// (a stale runner stub dropping the last reference), and that
   /// destruction must not release the exception_ptr the caller is still
@@ -68,101 +69,39 @@ struct FailureSet {
   [[nodiscard]] bool any() const { return !failures.empty(); }
 };
 
-/// State of one chunked parallel_for call. The range is pre-split into
-/// `chunks` contiguous pieces; runners (pool tasks plus the calling
-/// thread) claim pieces through `next_chunk` until none remain, so load
-/// balances dynamically while each claimed piece stays a cache-friendly
-/// contiguous index run. Heap-allocated and shared with every runner
-/// task: when the caller drains all chunks itself (a busy pool), its
-/// runner stubs may execute after the call already returned, and must
-/// still find this state alive — they claim no chunk and exit without
-/// ever touching `body`.
-struct ChunkedLoop {
+/// State of one pooled parallel_for call. Runners (pool tasks plus the
+/// calling thread) claim one index at a time through `next` until the
+/// range is exhausted, so load balances dynamically item by item.
+/// Heap-allocated and shared with every runner task: when the caller
+/// claims every index itself (a busy pool), its runner stubs may execute
+/// after the call already returned, and must still find this state
+/// alive — they claim no index and exit without ever touching `body`.
+struct IndexedLoop {
   std::int64_t begin = 0;
   std::int64_t n = 0;
-  std::int64_t chunks = 0;
   const std::function<void(std::int64_t)>* body = nullptr;
-  bool measure = false;  ///< feed a ChunkTuner from this call's chunks
-  std::atomic<std::int64_t> next_chunk{0};
-  std::atomic<std::int64_t> chunks_done{0};
-  std::atomic<std::int64_t> measured_ns{0};
-  std::atomic<std::int64_t> measured_items{0};
+  std::atomic<std::int64_t> next{0};
+  std::atomic<std::int64_t> done{0};
   std::mutex mu;
   std::condition_variable done_cv;
   FailureSet failures;
 
   void run() {
-    const std::int64_t base = n / chunks;
-    const std::int64_t rem = n % chunks;
-    // Measurement costs one clock read per *chunk* boundary (never per
-    // item): each runner carries the previous boundary's timestamp, so
-    // chunk k's cost is the delta to the read that closed chunk k-1.
-    auto mark = measure ? std::chrono::steady_clock::now()
-                        : std::chrono::steady_clock::time_point{};
     for (;;) {
-      const std::int64_t k =
-          next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (k >= chunks) return;
-      const std::int64_t lo = begin + k * base + std::min(k, rem);
-      const std::int64_t hi = lo + base + (k < rem ? 1 : 0);
-      for (std::int64_t i = lo; i < hi; ++i) {
-        try {
-          (*body)(i);
-        } catch (...) {
-          failures.record(i);
-        }
+      const std::int64_t k = next.fetch_add(1, std::memory_order_relaxed);
+      if (k >= n) return;
+      try {
+        (*body)(begin + k);
+      } catch (...) {
+        failures.record(begin + k);
       }
-      if (measure) {
-        // Accumulate before the chunks_done increment: its acq_rel pair
-        // with the caller's acquire wait makes these adds visible to the
-        // tuner update that follows the drain.
-        const auto now = std::chrono::steady_clock::now();
-        measured_ns.fetch_add(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(now - mark)
-                .count(),
-            std::memory_order_relaxed);
-        measured_items.fetch_add(hi - lo, std::memory_order_relaxed);
-        mark = now;
-      }
-      if (chunks_done.fetch_add(1, std::memory_order_acq_rel) == chunks - 1) {
+      if (done.fetch_add(1, std::memory_order_acq_rel) == n - 1) {
         std::lock_guard<std::mutex> lock(mu);
         done_cv.notify_all();
       }
     }
   }
 };
-
-/// Chunk count for a batch of `n` items on `workers` runners: the fixed
-/// ~4-per-worker split until `tuner` has a measured estimate, then
-/// enough chunks that one chunk costs ~ChunkTuner::kTargetChunkNs,
-/// clamped so every worker gets work but claim traffic stays bounded.
-std::int64_t pick_chunks(std::int64_t n, int workers,
-                         const ChunkTuner* tuner) {
-  const std::int64_t est =
-      tuner != nullptr ? tuner->ns_per_item.load(std::memory_order_relaxed)
-                       : 0;
-  if (est <= 0) return std::min<std::int64_t>(n, std::int64_t{4} * workers);
-  const std::int64_t per_chunk =
-      std::max<std::int64_t>(1, ChunkTuner::kTargetChunkNs / est);
-  const std::int64_t want = (n + per_chunk - 1) / per_chunk;
-  const std::int64_t clamped = std::clamp<std::int64_t>(
-      want, workers, ChunkTuner::kMaxChunksPerWorker * workers);
-  return std::min<std::int64_t>(n, clamped);
-}
-
-/// Folds one drained batch into `tuner`: EWMA with a 3/4 memory, so one
-/// anomalous batch (page faults, a stolen core) shifts the estimate by
-/// at most a quarter of the way.
-void update_tuner(ChunkTuner& tuner, std::int64_t batch_ns,
-                  std::int64_t batch_items) {
-  if (batch_items <= 0) return;
-  const std::int64_t fresh =
-      std::max<std::int64_t>(1, batch_ns / batch_items);
-  const std::int64_t prev =
-      tuner.ns_per_item.load(std::memory_order_relaxed);
-  const std::int64_t est = prev <= 0 ? fresh : (3 * prev + fresh) / 4;
-  tuner.ns_per_item.store(est, std::memory_order_relaxed);
-}
 
 /// The inline path shared by `jobs <= 1` and degenerate ranges: index
 /// order on the calling thread, with the exact pooled failure contract.
@@ -179,12 +118,11 @@ void run_inline(std::int64_t begin, std::int64_t end,
   if (failures.any()) failures.rethrow();
 }
 
-/// Chunked fan-out over `pool` with total concurrency (pool runners plus
-/// the participating caller) capped at `max_workers`.
+/// Fan-out over `pool` with total concurrency (pool runners plus the
+/// participating caller) capped at `max_workers`.
 void parallel_for_capped(ThreadPool& pool, int max_workers,
                          std::int64_t begin, std::int64_t end,
-                         const std::function<void(std::int64_t)>& body,
-                         ChunkTuner* tuner) {
+                         const std::function<void(std::int64_t)>& body) {
   const std::int64_t n = end - begin;
   if (n <= 0) return;
   const int workers = static_cast<int>(std::min<std::int64_t>(
@@ -194,27 +132,20 @@ void parallel_for_capped(ThreadPool& pool, int max_workers,
     run_inline(begin, end, body);
     return;
   }
-  auto state = std::make_shared<ChunkedLoop>();
+  auto state = std::make_shared<IndexedLoop>();
   state->begin = begin;
   state->n = n;
-  state->chunks = pick_chunks(n, workers, tuner);
   state->body = &body;
-  state->measure = tuner != nullptr;
   for (int w = 0; w + 1 < workers; ++w)
     pool.submit([state] { state->run(); });
   state->run();  // the calling thread is worker 0
   {
     std::unique_lock<std::mutex> lock(state->mu);
     state->done_cv.wait(lock, [&state] {
-      return state->chunks_done.load(std::memory_order_acquire) ==
-             state->chunks;
+      return state->done.load(std::memory_order_acquire) == state->n;
     });
   }
-  if (tuner != nullptr)
-    update_tuner(*tuner,
-                 state->measured_ns.load(std::memory_order_relaxed),
-                 state->measured_items.load(std::memory_order_relaxed));
-  // All chunks are done (acq_rel fetch_add / acquire wait above), so the
+  // Every index is done (acq_rel fetch_add / acquire wait above), so the
   // caller owns the failure state now. Drain it to a local before
   // throwing — see FailureSet::drain_into.
   if (state->failures.any()) {
@@ -233,17 +164,12 @@ int ThreadPool::default_thread_count() {
 
 ThreadPool::ThreadPool(int threads) {
   const int count = threads > 0 ? threads : default_thread_count();
-  queues_.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i)
-    queues_.push_back(std::make_unique<WorkQueue>());
   workers_.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
     try {
-      workers_.emplace_back(
-          [this, i] { worker_loop(static_cast<std::size_t>(i)); });
+      workers_.emplace_back([this] { worker_loop(); });
     } catch (const std::system_error&) {
       // Out of thread resources: run with however many workers exist.
-      // Extra queues are harmless — workers steal from all of them.
       if (workers_.empty()) throw;
       break;
     }
@@ -251,93 +177,43 @@ ThreadPool::ThreadPool(int threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  wait_idle();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stop_.store(true);
+    stop_ = true;
   }
   work_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  const std::size_t target =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  pending_.fetch_add(1, std::memory_order_relaxed);
   {
-    std::lock_guard<std::mutex> lock(queues_[target]->mu);
-    queues_[target]->tasks.push_back(std::move(task));
-    queued_.fetch_add(1, std::memory_order_seq_cst);
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(task));
+    ++pending_;
   }
-  // Wake a worker only when one is actually asleep. The seq_cst pair
-  // (queued_ write above, sleepers_ read here) against the worker's
-  // (sleepers_ write under mu_, queued_ read in its wait predicate)
-  // closes the lost-wakeup race: if this read misses a worker about to
-  // sleep, that worker's predicate — checked after its sleepers_
-  // increment — is guaranteed to see the new queued_ count and skip the
-  // sleep. A saturated pool therefore never touches mu_ on submit.
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-    { std::lock_guard<std::mutex> lock(mu_); }
-    work_cv_.notify_one();
-  }
+  work_cv_.notify_one();
 }
 
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock,
-                [this] { return pending_.load(std::memory_order_acquire) == 0; });
+  idle_cv_.wait(lock, [this] { return pending_ == 0; });
 }
 
-bool ThreadPool::try_pop(std::size_t self, std::function<void()>& out) {
-  WorkQueue& q = *queues_[self];
-  std::lock_guard<std::mutex> lock(q.mu);
-  if (q.tasks.empty()) return false;
-  out = std::move(q.tasks.back());
-  q.tasks.pop_back();
-  queued_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool ThreadPool::try_steal(std::size_t self, std::function<void()>& out) {
-  const std::size_t count = queues_.size();
-  for (std::size_t k = 1; k < count; ++k) {
-    WorkQueue& q = *queues_[(self + k) % count];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (q.tasks.empty()) continue;
-    out = std::move(q.tasks.front());
-    q.tasks.pop_front();
-    queued_.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
-    if (try_pop(self, task) || try_steal(self, task)) {
-      task();
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(mu_);
-        idle_cv_.notify_all();
-      }
-      continue;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      work_cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+      // Stopping only once the queue is empty drains every queued task.
+      if (tasks_.empty()) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(mu_);
-    if (stop_.load()) return;
-    // Register as a sleeper before the predicate check (both under mu_),
-    // so a submitter that saw sleepers_ == 0 must have published its
-    // queued_ increment first — the predicate then sees it and skips
-    // the sleep. queued_ is a counter, not a lock scan: going idle no
-    // longer takes every per-queue mutex.
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    work_cv_.wait(lock, [this] {
-      return stop_.load() ||
-             queued_.load(std::memory_order_seq_cst) > 0;
-    });
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
-    if (stop_.load() && queued_.load(std::memory_order_seq_cst) <= 0)
-      return;
+    task();
+    task = nullptr;  // release its captures before counting it finished
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--pending_ == 0) idle_cv_.notify_all();
   }
 }
 
@@ -352,21 +228,18 @@ ThreadPool& shared_thread_pool() {
 }
 
 void parallel_for(ThreadPool& pool, std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& body,
-                  ChunkTuner* tuner) {
-  parallel_for_capped(pool, pool.size() + 1, begin, end, body, tuner);
+                  const std::function<void(std::int64_t)>& body) {
+  parallel_for_capped(pool, pool.size() + 1, begin, end, body);
 }
 
 void parallel_for(int jobs, std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& body,
-                  ChunkTuner* tuner) {
+                  const std::function<void(std::int64_t)>& body) {
   const int resolved = jobs > 0 ? jobs : ThreadPool::default_thread_count();
   if (resolved <= 1 || end - begin <= 1) {
     run_inline(begin, end, body);
     return;
   }
-  parallel_for_capped(shared_thread_pool(), resolved, begin, end, body,
-                      tuner);
+  parallel_for_capped(shared_thread_pool(), resolved, begin, end, body);
 }
 
 }  // namespace sbmp

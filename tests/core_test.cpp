@@ -268,7 +268,7 @@ TEST(ResultCacheTest, KeyCoversEveryMachineDescField) {
   EXPECT_NE(ResultCache::key(loop, buffered).find("m{"), std::string::npos);
 }
 
-TEST(ResultCacheL1, GenerationStampIsolatesLiveInstances) {
+TEST(ResultCacheTest, LiveInstancesNeverShareEntries) {
   // A key cached in one instance must never satisfy a lookup against a
   // different live instance on the same thread.
   const Loop loop = parse_single_loop_or_throw(kChainLoop);
@@ -282,7 +282,7 @@ TEST(ResultCacheL1, GenerationStampIsolatesLiveInstances) {
   EXPECT_EQ(b.hits(), 0);
 }
 
-TEST(ResultCacheL1, DeadInstanceEntriesNeverLeakIntoANewCache) {
+TEST(ResultCacheTest, DeadInstanceEntriesNeverLeakIntoANewCache) {
   // Fresh instances may reuse a destroyed cache's heap address; none
   // may start out holding the dead cache's entries.
   const Loop loop = parse_single_loop_or_throw(kChainLoop);

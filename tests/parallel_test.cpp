@@ -315,10 +315,10 @@ TEST(ResultCacheTest, InsertRaceKeepsTheFirstEntry) {
   EXPECT_EQ(cache.hits() + cache.misses(), 4);
 }
 
-TEST(ResultCacheLayout, RacingInsertsUnderChunkingKeepFirstWinner) {
-  // 4096 racing inserts of one key through the chunked parallel_for
-  // (many chunks, shared pool): exactly one entry may land, and every
-  // racer — whichever chunk it ran in — must be handed that winner.
+TEST(ResultCacheConcurrency, RacingInsertsKeepFirstWinner) {
+  // 4096 racing inserts of one key through parallel_for on the shared
+  // pool: exactly one entry may land, and every racer — whichever
+  // thread it ran on — must be handed that winner.
   ResultCache cache;
   constexpr int kInserts = 4096;
   std::vector<std::shared_ptr<const ResultCache::Entry>> returned(kInserts);
@@ -335,7 +335,7 @@ TEST(ResultCacheLayout, RacingInsertsUnderChunkingKeepFirstWinner) {
   }
 }
 
-TEST(ResultCacheL1, RacingLookupsAcrossThreadsAgreeOnTheShardWinner) {
+TEST(ResultCacheConcurrency, RacingLookupsAcrossThreadsAgreeOnTheWinner) {
   // 8 workers hammering one hot key must all see the single resident
   // entry.
   const Loop loop = parse_single_loop_or_throw(kChainLoop);
@@ -390,12 +390,11 @@ TEST(ResultCacheConcurrency, ConcurrentDistinctInsertsAllLand) {
   EXPECT_GT(cache.hits(), 0);
 }
 
-// --- Chunked parallel_for on the shared process-wide pool ------------
-// The fix for negative parallel scaling batches indices into contiguous
-// chunks and runs every batch on one lazily-spawned shared pool. These
-// stress cases pin the two contracts that chunking must not bend:
-// byte-identity with the serial loop, and whole-batch failure
-// aggregation in index order.
+// --- parallel_for on the shared process-wide pool --------------------
+// Every batch runs on one lazily-spawned shared pool, its runners
+// claiming one index at a time. These stress cases pin the two
+// contracts that work distribution must not bend: byte-identity with
+// the serial loop, and whole-batch failure aggregation in index order.
 
 std::uint64_t mix_index(std::uint64_t x) {
   // SplitMix64 finalizer: cheap enough that per-task overhead, not the
@@ -438,9 +437,9 @@ TEST(ChunkedParallelFor, RepeatedBatchesReuseOneSharedPool) {
 }
 
 TEST(ChunkedParallelFor, FailuresAcrossChunksAggregateInIndexOrder) {
-  // Throwing indices spread across the whole range land in different
-  // chunks (20000 indices >> 4x8 chunks); every body must still run and
-  // one ParallelForError must list every failed index, sorted.
+  // Throwing indices spread across the whole range run on different
+  // threads; every body must still run and one ParallelForError must
+  // list every failed index, sorted.
   const std::vector<std::int64_t> bad = {3, 4097, 9998, 15000, 19999};
   std::atomic<std::int64_t> ran{0};
   try {
@@ -463,7 +462,7 @@ TEST(ChunkedParallelFor, FailuresAcrossChunksAggregateInIndexOrder) {
 
 TEST(ChunkedParallelFor, ExplicitPoolOverloadStillAggregatesFailures) {
   // The explicit-pool form is the test seam the convenience form builds
-  // on; its chunked path must keep the same contract.
+  // on; its pooled path must keep the same contract.
   ThreadPool pool(4);
   try {
     parallel_for(pool, 0, 10000, [](std::int64_t i) {

@@ -327,17 +327,33 @@ TEST(ThreadPool, ParallelForAggregatesInlinePathToo) {
 }
 
 TEST(ThreadPool, SharedPoolSupportsConcurrentParallelFors) {
-  ThreadPool pool(4);
+  // Nested fan-out onto the same pool, from several concurrent callers:
+  // every outer body runs an inner parallel_for on the pool it is
+  // running on. With only 2 workers, inner stubs routinely queue behind
+  // busy outer runners, so this completes only because each caller can
+  // claim all of its own indices (completion is tracked per call, not
+  // pool-wide) — a pool-wide wait here would deadlock.
+  ThreadPool pool(2);
+  constexpr int kCallers = 3;
+  constexpr int kRounds = 50;
+  constexpr std::int64_t kOuter = 8;
+  constexpr std::int64_t kInner = 100;
   std::atomic<std::int64_t> total{0};
-  parallel_for(pool, 0, 8, [&pool, &total](std::int64_t) {
-    // Nested fan-out onto the same pool from a worker-adjacent caller
-    // must complete (completion is tracked per call, not pool-wide).
-    std::atomic<std::int64_t> inner{0};
-    for (int j = 0; j < 10; ++j) inner.fetch_add(j);
-    total.fetch_add(inner.load());
-  });
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        parallel_for(pool, 0, kOuter, [&](std::int64_t) {
+          parallel_for(pool, 0, kInner,
+                       [&](std::int64_t j) { total.fetch_add(j); });
+        });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
   pool.wait_idle();
-  EXPECT_EQ(total.load(), 8 * 45);
+  EXPECT_EQ(total.load(),
+            kCallers * kRounds * kOuter * (kInner * (kInner - 1) / 2));
 }
 
 TEST(ThreadPool, AbsurdJobCountIsClampedToRangeSize) {
@@ -367,82 +383,6 @@ TEST(ThreadPool, EmptyRangeIsANoOp) {
   parallel_for(4, 5, 5, [&count](std::int64_t) { count.fetch_add(1); });
   parallel_for(4, 5, 2, [&count](std::int64_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 0);
-}
-
-TEST(ChunkTuner, LearnsAnEstimateAndNeverChangesResults) {
-  // Own pool so the multi-worker (measured) path runs even on a 1-core
-  // host; the tuner may only change chunk boundaries, never outcomes.
-  ThreadPool pool(4);
-  ChunkTuner tuner;
-  EXPECT_EQ(tuner.ns_per_item.load(), 0);  // fixed heuristic until measured
-
-  constexpr std::int64_t kN = 2000;
-  std::vector<std::int64_t> without(kN), with(kN);
-  parallel_for(pool, 0, kN, [&](std::int64_t i) {
-    without[static_cast<std::size_t>(i)] = i * i + 1;
-  });
-  parallel_for(pool, 0, kN, [&](std::int64_t i) {
-    with[static_cast<std::size_t>(i)] = i * i + 1;
-  }, &tuner);
-  EXPECT_EQ(with, without);
-  // One drained batch folded in; the estimate is clamped to >= 1 even
-  // for sub-nanosecond items, so "measured" is observable.
-  EXPECT_GE(tuner.ns_per_item.load(), 1);
-
-  // Steered batches (the estimate now sizes the chunks) still run every
-  // index exactly once.
-  std::atomic<std::int64_t> sum{0};
-  parallel_for(pool, 0, kN, [&](std::int64_t i) { sum.fetch_add(i); },
-               &tuner);
-  EXPECT_EQ(sum.load(), kN * (kN - 1) / 2);
-  EXPECT_GE(tuner.ns_per_item.load(), 1);
-}
-
-TEST(ChunkTuner, EstimateSmoothsInsteadOfTracking) {
-  // The EWMA keeps 3/4 memory: one anomalous batch moves the estimate
-  // at most a quarter of the way toward the fresh sample.
-  ThreadPool pool(4);
-  ChunkTuner tuner;
-  tuner.ns_per_item.store(1000);
-  parallel_for(pool, 0, 64,
-               [](std::int64_t) { /* near-zero cost items */ }, &tuner);
-  const std::int64_t est = tuner.ns_per_item.load();
-  // fresh >= 1, so est = (3*1000 + fresh)/4 >= 750 — a raw replace
-  // would have collapsed straight to the ~1ns sample. (No upper-bound
-  // assertion: on a preempted host the fresh sample itself can be
-  // arbitrarily large, and the EWMA tracks it a quarter at a time.)
-  EXPECT_GE(est, 750);
-}
-
-TEST(ChunkTuner, InlinePathIgnoresTheTunerButStaysCorrect) {
-  // jobs <= 1 runs inline in index order: no chunks, no measurement.
-  ChunkTuner tuner;
-  std::vector<std::int64_t> order;
-  parallel_for(1, 0, 16, [&](std::int64_t i) { order.push_back(i); },
-               &tuner);
-  ASSERT_EQ(order.size(), 16u);
-  for (std::int64_t i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  EXPECT_EQ(tuner.ns_per_item.load(), 0);
-}
-
-TEST(ChunkTuner, SharedTunerSurvivesConcurrentBatches) {
-  // Concurrent parallel_for calls racing one tuner: updates are relaxed
-  // atomics and every batch still runs all of its indices.
-  ThreadPool pool(4);
-  ChunkTuner tuner;
-  std::atomic<std::int64_t> total{0};
-  std::vector<std::thread> callers;
-  for (int c = 0; c < 3; ++c) {
-    callers.emplace_back([&] {
-      for (int round = 0; round < 5; ++round) {
-        parallel_for(pool, 0, 200,
-                     [&](std::int64_t) { total.fetch_add(1); }, &tuner);
-      }
-    });
-  }
-  for (auto& t : callers) t.join();
-  EXPECT_EQ(total.load(), 3 * 5 * 200);
-  EXPECT_GE(tuner.ns_per_item.load(), 1);
 }
 
 }  // namespace

@@ -239,6 +239,12 @@ TEST(SbmpcExitCodes, BadFlagsAreUsageErrors) {
   EXPECT_EQ(run_sbmpc(""), 2);  // no inputs
 }
 
+TEST(SbmpcExitCodes, NegativeJobCountIsAUsageError) {
+  // A negative --jobs is rejected, not read as "all hardware threads".
+  EXPECT_EQ(run_sbmpc("--jobs -3 " + fig1_path()), 2);
+  EXPECT_EQ(run_sbmpc("--jobs -1 --list-benchmarks"), 2);
+}
+
 TEST(SbmpcExitCodes, DetectedMutationsExitValidation) {
   for (const char* m : {"hoist-send", "sink-wait", "drop-arc"}) {
     EXPECT_EQ(run_sbmpc("--mutate " + std::string(m) + " " + fig1_path()),
@@ -289,6 +295,18 @@ int run_sbmpc_capture(const std::string& args, std::string* out) {
   buffer << in.rdbuf();
   *out = buffer.str();
   return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+}
+
+TEST(SbmpcJobs, SuiteOutputIsByteIdenticalAcrossJobCounts) {
+  // Rendering fans out over the shared pool at --jobs > 1; the output
+  // must equal the serial run byte for byte.
+  const std::string args = "--list-benchmarks --compare --check";
+  std::string serial;
+  ASSERT_EQ(run_sbmpc_capture(args + " --jobs 1", &serial), 0);
+  ASSERT_FALSE(serial.empty());
+  std::string pooled;
+  ASSERT_EQ(run_sbmpc_capture(args + " --jobs 4", &pooled), 0);
+  EXPECT_EQ(pooled, serial);
 }
 
 /// The flag set the cache tests run with — the full rendering surface,

@@ -75,6 +75,9 @@ if [[ -n "${SBMP_SANITIZE:-}" ]]; then
   cmake -B "$root/build-tsan" -S "$root" -DSBMP_SANITIZE=thread >/dev/null
   cmake --build "$root/build-tsan" -j "$jobs"
   ctest --test-dir "$root/build-tsan" -L "parallel|serve|exec" --output-on-failure -j "$jobs"
+
+  echo "== TSan parallel tests, repeated (a lost pool wakeup times out) =="
+  ctest --test-dir "$root/build-tsan" -L parallel --repeat until-fail:10 --timeout 120 --output-on-failure
 fi
 
 echo "== all checks passed =="

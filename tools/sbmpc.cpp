@@ -33,7 +33,8 @@
 //                      whether the validator and fault campaign detect
 //                      it; detection exits with code 3
 //   --jobs N           process loops on N workers (0 = hardware
-//                      threads, 1 = serial; output order is identical)
+//                      threads, 1 = serial, negative is a usage error;
+//                      output order is identical)
 //   --dump WHAT        sync | tac | dfg | dot | schedule | stats |
 //                      trace | all
 //                      (repeatable; dot prints a Graphviz digraph)
@@ -225,6 +226,7 @@ CliOptions parse_cli(int argc, char** argv) {
         usage("unknown mutation (hoist-send | sink-wait | drop-arc)");
     } else if (std::strcmp(arg, "--jobs") == 0) {
       cli.jobs = std::atoi(next_arg(argc, argv, i));
+      if (cli.jobs < 0) usage("--jobs must be non-negative");
     } else if (std::strcmp(arg, "--cache-dir") == 0) {
       cli.pipeline.cache_dir = next_arg(argc, argv, i);
     } else if (std::strcmp(arg, "--cache-bytes") == 0) {
