@@ -9,6 +9,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -379,36 +380,44 @@ inline CompilePerf run_compile_perf(int reps = 7) {
 
   // Corpus throughput through the batch facade across the full
   // {1, 2, 4, 8, 16} jobs sweep, cache off so every loop pays the full
-  // compile. The shared pool spawns its workers on the untimed warmup
-  // pass, so the timed passes measure steady-state throughput — what a
-  // daemon or sweep actually sustains — never thread-spawn latency (the
-  // old methodology charged 8 spawns to the jobs8 region and made
-  // parallelism look like a loss). Each jobs level takes the best of
-  // `reps` passes to shed scheduler noise; the whole curve lands in the
-  // JSON so trajectory tooling sees the knee, while the jobs1/jobs8
-  // scalars keep feeding the scaling gate unchanged.
+  // compile. Each level's untimed warmup spawns the shared pool's
+  // workers (timed passes never pay thread spawns) and sizes its pass:
+  // one batch takes a few ms at jobs 1, so a pass repeats it for at
+  // least kMinPassSecs and one scheduler hiccup cannot swing the rate.
+  // The levels take turns, one pass each per round, so a change in the
+  // host's load lands on all of them alike; each keeps the best of
+  // `reps` passes. The whole curve lands in the JSON; the jobs1/jobs8
+  // scalars feed the scaling gate.
+  constexpr double kMinPassSecs = 0.05;
+  constexpr int kLevels[] = {1, 2, 4, 8, 16};
   std::vector<CompileRequest> requests;
   requests.reserve(corpus.size());
   for (const auto& target : corpus)
     requests.push_back({target.loop, options});
-  for (const int jobs : {1, 2, 4, 8, 16}) {
-    CompileBatchOptions batch;
-    batch.jobs = jobs;
-    batch.use_cache = false;
-    (void)compile(requests, batch);  // warmup: pool spawn, caches hot
-    double best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-      const auto t0 = clock::now();
-      const ProgramReport report = compile(requests, batch);
-      const double secs = static_cast<double>(ns_since(t0)) / 1e9;
-      const double rate =
-          secs > 0.0 ? static_cast<double>(report.loops.size()) / secs : 0.0;
-      best = std::max(best, rate);
-    }
-    perf.scaling_curve.emplace_back(jobs, best);
-    if (jobs == 1) perf.loops_per_sec_jobs1 = best;
-    if (jobs == 8) perf.loops_per_sec_jobs8 = best;
-  }
+  // Compiles the batch `times` times at `jobs`; returns loops/sec.
+  const auto loops_per_sec = [&](int jobs, std::int64_t times) {
+    std::size_t loops = 0;
+    const auto t0 = clock::now();
+    for (std::int64_t i = 0; i < times; ++i)
+      loops += compile(requests, CompileBatchOptions{jobs, false}).loops.size();
+    return static_cast<double>(loops) * 1e9 /
+           static_cast<double>(std::max<std::int64_t>(ns_since(t0), 1));
+  };
+  const double batch_loops =
+      std::max(static_cast<double>(requests.size()), 1.0);
+  std::vector<std::int64_t> repeats;  // batches per timed pass, per level
+  for (const int jobs : kLevels)
+    repeats.push_back(static_cast<std::int64_t>(
+        std::ceil(loops_per_sec(jobs, 1) * kMinPassSecs / batch_loops)));
+  std::vector<double> best(repeats.size(), 0.0);
+  for (int r = 0; r < reps; ++r)
+    for (std::size_t level = 0; level < best.size(); ++level)
+      best[level] = std::max(best[level],
+                             loops_per_sec(kLevels[level], repeats[level]));
+  for (std::size_t level = 0; level < best.size(); ++level)
+    perf.scaling_curve.emplace_back(kLevels[level], best[level]);
+  perf.loops_per_sec_jobs1 = best[0];
+  perf.loops_per_sec_jobs8 = best[3];
 
   // Memoized-cache hit latency: fill once, then time pure hits.
   ResultCache cache;

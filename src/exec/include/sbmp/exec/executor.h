@@ -35,9 +35,6 @@ struct ExecOptions {
   /// Refuse (kResource) loops whose planned footprint exceeds this;
   /// <= 0 removes the cap.
   std::int64_t max_memory_bytes = 256ll << 20;
-  /// Iteration waves traced per worker (spans named "exec_wave");
-  /// bounds trace volume on long runs. 0 disables wave spans.
-  int trace_waves_per_worker = 32;
   /// Test-only divergence probe: flips one result bit after a
   /// successful run, proving the differential detector is live (the
   /// executor's analogue of the simulator's --mutate campaign).
@@ -54,8 +51,10 @@ struct ExecStats {
   std::int64_t window = 0;
   std::int64_t sends = 0;          ///< Send_Signal posts
   std::int64_t waits = 0;          ///< Wait_Signal with a live partner
-  std::int64_t blocked_waits = 0;  ///< signal waits that parked
-  std::int64_t gate_blocks = 0;    ///< ring-reuse gate parks
+  /// "Blocked" counts awaits that found the awaited SignalBoard word
+  /// short and parked on it (`std::atomic::wait`) at least once.
+  std::int64_t blocked_waits = 0;  ///< signal waits that blocked
+  std::int64_t gate_blocks = 0;    ///< ring-reuse gate awaits that blocked
 };
 
 /// Outcome of one execution: the final data state plus how it ran.
@@ -76,10 +75,10 @@ struct ExecResult {
 /// within an iteration the workers walk the schedule's issue groups in
 /// order, interpreting instruction semantics over a per-worker register
 /// frame and the shared ExecMemory, with Sig/Wat pairs lowered onto the
-/// SignalBoard. A ring-reuse gate delays iteration k until iteration
-/// k - window has fully completed, which both bounds the signal history
-/// (like the simulator's buffer) and guarantees sequence values in a
-/// reused slot only grow.
+/// SignalBoard. A ring-reuse gate delays iteration k until every
+/// iteration <= k - window has completed, which both bounds the signal
+/// history (like the simulator's buffer) and guarantees sequence values
+/// in a reused slot only grow.
 ///
 /// The differential contract: run() at any thread count produces memory
 /// byte-identical to run_reference()'s serial program-order

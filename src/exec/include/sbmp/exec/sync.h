@@ -1,58 +1,80 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
+#include <bit>
 #include <cstdint>
-#include <mutex>
+#include <limits>
 #include <vector>
 
 namespace sbmp {
 
-/// Futex-style parking lot shared by every blocking site of one
-/// executor run (signal waits, the ring-reuse gate, halt). Posts far
-/// outnumber parks, so the handshake keeps the mutex off the post path:
-/// a waiter registers in the seq_cst `sleepers_` counter before
-/// rechecking its predicate under the mutex; a poster publishes its
-/// seq_cst store first and only touches the mutex when the counter is
-/// non-zero. The seq_cst total order makes the race benign in both
-/// directions — either the poster sees the sleeper and notifies, or the
-/// sleeper's predicate load is ordered after the poster's store and
-/// passes — so the uncontended post path is one atomic load and waits
-/// cannot be missed.
-class WaitHub {
+/// The IterationSync primitive and the executor's only blocking
+/// primitive. One wait rule: a waiter needs a monotone atomic word to
+/// reach a value, and parks on that word (`std::atomic::wait`); every
+/// store to a word is seq_cst and followed by `notify_all()` on it, and
+/// that store/load pair is the happens-before edge that makes the
+/// guarded plain-memory accesses race-free. Two sets of words:
+///
+/// * Signal slots: `Send_Signal`/`Wait_Signal` on a ring of sequence
+///   counters per signal statement, the live-thread analogue of the
+///   simulator's signal buffer (both sized by `signal_window_rows`).
+///   Slot `(k mod rows, stmt)` holds `k + 1` once iteration k sent
+///   `stmt` (0 = never). A waiter for iteration s passes at `s + 1` or
+///   at any newer value left by a later iteration reusing the slot: the
+///   ring-reuse gate lets that iteration start only after s completed.
+/// * Completion counters, one per worker: iteration k runs on worker
+///   `k mod workers`, whose counter holds how many of its iterations
+///   have completed.
+///
+/// `halt()` sets the halt flag before bumping every word to INT64_MAX,
+/// so a parked waiter always sees a changed value, and a waiter that
+/// reads the bumped value also sees the flag.
+class SignalBoard {
  public:
   struct Outcome {
     bool satisfied = false;  ///< false only when the run was halted
-    bool blocked = false;    ///< the slow path (parking) was taken
+    bool blocked = false;    ///< found the word short and parked on it
   };
 
-  /// Spins briefly on `pred`, then parks until `pred()` or `halt()`.
-  /// `pred` must read only seq_cst (or stronger-ordered) atomics.
-  template <class Pred>
-  [[nodiscard]] Outcome await(Pred&& pred) {
-    for (int spin = 0; spin < kSpinRounds; ++spin) {
-      if (pred()) return {true, false};
-      if (halted()) return {false, false};
-    }
-    Outcome out;
-    out.blocked = true;
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return pred() || halted(); });
-      out.satisfied = pred();
-    }
-    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    return out;
+  /// `rows` is a minimum history depth; rounded up to a power of two so
+  /// ring indexing is a mask. `workers` is the cyclic assignment's width.
+  SignalBoard(int signal_width, std::int64_t rows, int workers)
+      : width_(std::max(signal_width, 1)),
+        workers_(std::max(workers, 1)),
+        rows_(static_cast<std::int64_t>(std::bit_ceil(
+            static_cast<std::uint64_t>(std::max<std::int64_t>(rows, 1))))),
+        slots_(static_cast<std::size_t>(rows_ * width_)),
+        completed_(static_cast<std::size_t>(workers_)) {}
+
+  [[nodiscard]] std::int64_t rows() const { return rows_; }
+
+  /// Send_Signal(stmt) from iteration k.
+  void post(int stmt, std::int64_t k) { publish(slot(stmt, k), k + 1); }
+
+  /// Wait_Signal(stmt, src_iter): blocks until iteration `src_iter` has
+  /// posted (or a later iteration reused its slot — see class comment).
+  [[nodiscard]] Outcome await_signal(int stmt, std::int64_t src_iter) {
+    return await(slot(stmt, src_iter), src_iter + 1);
   }
 
-  /// Called after a seq_cst store that may satisfy a parked waiter. The
-  /// empty lock section serializes with a waiter between its predicate
-  /// recheck and cv_.wait, so the notify cannot slip into that window.
-  void wake() {
-    if (sleepers_.load(std::memory_order_seq_cst) == 0) return;
-    { std::lock_guard<std::mutex> lock(mu_); }
-    cv_.notify_all();
+  /// Iteration k has completed; called by its worker, in iteration order.
+  void complete(std::int64_t k) {
+    publish(completed_[static_cast<std::size_t>(k % workers_)],
+            k / workers_ + 1);
+  }
+
+  /// Blocks until every iteration <= `last` has completed: worker w must
+  /// have completed its iterations w, w + workers, ... up to `last`.
+  [[nodiscard]] Outcome await_completed(std::int64_t last) {
+    bool blocked = false;
+    for (int w = 0; w < workers_ && w <= last; ++w) {
+      const Outcome one = await(completed_[static_cast<std::size_t>(w)],
+                                (last - w) / workers_ + 1);
+      blocked = blocked || one.blocked;
+      if (!one.satisfied) return {false, blocked};
+    }
+    return {true, blocked};
   }
 
   /// Aborts the run: every current and future await returns
@@ -60,85 +82,43 @@ class WaitHub {
   /// for a signal its failed peer will never send.
   void halt() {
     halted_.store(true, std::memory_order_seq_cst);
-    { std::lock_guard<std::mutex> lock(mu_); }
-    cv_.notify_all();
-  }
-
-  [[nodiscard]] bool halted() const {
-    return halted_.load(std::memory_order_seq_cst);
+    for (auto& word : slots_) publish(word, kHalted);
+    for (auto& word : completed_) publish(word, kHalted);
   }
 
  private:
-  // Short spin: DOACROSS signals usually arrive within a few groups of
-  // work, and on an oversubscribed host parking early beats burning the
-  // producer's time slice.
-  static constexpr int kSpinRounds = 64;
+  static constexpr std::int64_t kHalted =
+      std::numeric_limits<std::int64_t>::max();
 
-  std::atomic<int> sleepers_{0};
-  std::atomic<bool> halted_{false};
-  std::mutex mu_;
-  std::condition_variable cv_;
-};
-
-/// The IterationSync primitive: `Send_Signal`/`Wait_Signal` lowered to
-/// a bounded ring of atomic sequence counters per signal statement —
-/// the live-thread analogue of the simulator's per-iteration signal
-/// buffer (both size their history with `signal_window_rows`).
-///
-/// Slot `(k mod rows, stmt)` holds `k + 1` once iteration k has sent
-/// signal `stmt` (0 = never sent). A waiter for the send of iteration s
-/// passes when the slot value reaches `s + 1`; seeing a *newer* value
-/// `s' + 1 > s + 1` in the reused slot is also sufficient, because the
-/// executor's ring-reuse gate only lets iteration s' start (and thus
-/// re-post the slot) after iteration s has completed entirely. The
-/// seq_cst store/load pair carries the happens-before edge that makes
-/// the guarded plain-memory accesses race-free.
-class SignalBoard {
- public:
-  /// `rows` is a minimum history depth; rounded up to a power of two so
-  /// ring indexing is a mask.
-  SignalBoard(int signal_width, std::int64_t rows)
-      : width_(signal_width > 0 ? signal_width : 1) {
-    std::int64_t pow2 = 1;
-    while (pow2 < rows) pow2 <<= 1;
-    rows_ = pow2;
-    mask_ = pow2 - 1;
-    slots_ = std::vector<std::atomic<std::int64_t>>(
-        static_cast<std::size_t>(rows_) * static_cast<std::size_t>(width_));
+  static void publish(std::atomic<std::int64_t>& word, std::int64_t value) {
+    word.store(value, std::memory_order_seq_cst);
+    word.notify_all();
   }
 
-  [[nodiscard]] std::int64_t rows() const { return rows_; }
-  [[nodiscard]] WaitHub& hub() { return hub_; }
-
-  /// Send_Signal(stmt) from iteration k.
-  void post(int stmt, std::int64_t k) {
-    slot(stmt, k).store(k + 1, std::memory_order_seq_cst);
-    hub_.wake();
+  [[nodiscard]] Outcome await(const std::atomic<std::int64_t>& word,
+                              std::int64_t needed) const {
+    bool blocked = false;
+    for (;;) {
+      const std::int64_t seen = word.load(std::memory_order_seq_cst);
+      if (halted_.load(std::memory_order_seq_cst)) return {false, blocked};
+      if (seen >= needed) return {true, blocked};
+      blocked = true;
+      word.wait(seen, std::memory_order_seq_cst);
+    }
   }
 
-  /// Wait_Signal(stmt, src_iter): blocks until iteration `src_iter` has
-  /// posted (or a later iteration reused its slot — see class comment).
-  [[nodiscard]] WaitHub::Outcome await_signal(int stmt,
-                                              std::int64_t src_iter) {
-    std::atomic<std::int64_t>& s = slot(stmt, src_iter);
-    const std::int64_t needed = src_iter + 1;
-    return hub_.await([&s, needed] {
-      return s.load(std::memory_order_seq_cst) >= needed;
-    });
-  }
-
- private:
   [[nodiscard]] std::atomic<std::int64_t>& slot(int stmt, std::int64_t k) {
-    return slots_[static_cast<std::size_t>(k & mask_) *
+    return slots_[static_cast<std::size_t>(k & (rows_ - 1)) *
                       static_cast<std::size_t>(width_) +
                   static_cast<std::size_t>(stmt)];
   }
 
   int width_;
-  std::int64_t rows_ = 1;
-  std::int64_t mask_ = 0;
+  int workers_;
+  std::int64_t rows_;
   std::vector<std::atomic<std::int64_t>> slots_;
-  WaitHub hub_;
+  std::vector<std::atomic<std::int64_t>> completed_;
+  std::atomic<bool> halted_{false};
 };
 
 }  // namespace sbmp

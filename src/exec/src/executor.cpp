@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -19,6 +18,10 @@ namespace sbmp {
 namespace {
 
 constexpr const char* kStage = "exec";
+
+/// Iteration waves traced per worker (spans named "exec_wave"); bounds
+/// trace volume on long runs.
+constexpr std::int64_t kTraceWavesPerWorker = 32;
 
 [[nodiscard]] std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -119,7 +122,7 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
   const std::int64_t rows = std::min(
       signal_window_rows(program.max_wait_distance(), threads),
       sat_add(n, 1));
-  SignalBoard board(program.signal_width(), rows);
+  SignalBoard board(program.signal_width(), rows, threads);
   result.stats.window = board.rows();
 
   // Flatten the schedule into group-ordered micro-ops once; workers
@@ -136,14 +139,6 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
   group_begin.push_back(ordered.size());
   const std::size_t group_count = schedule_.groups.size();
 
-  // Per-worker completion counts, read by the ring-reuse gate. All
-  // iterations <= T are complete iff every worker w has completed
-  // ceil((T - w + 1) / threads) of its cyclically assigned iterations.
-  std::unique_ptr<std::atomic<std::int64_t>[]> done(
-      new std::atomic<std::int64_t>[static_cast<std::size_t>(threads)]);
-  for (int w = 0; w < threads; ++w)
-    done[static_cast<std::size_t>(w)].store(0, std::memory_order_seq_cst);
-
   std::atomic<bool> failed{false};
   Status worker_error;  // written only by the failed-CAS winner
   const auto fail = [&](Status status) {
@@ -151,7 +146,7 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
     if (failed.compare_exchange_strong(expected, true,
                                        std::memory_order_seq_cst))
       worker_error = std::move(status);
-    board.hub().halt();
+    board.halt();
   };
 
   std::vector<WorkerTally> tallies(static_cast<std::size_t>(threads));
@@ -166,39 +161,27 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
   const auto worker = [&](int w) {
     WorkerTally& tally = tallies[static_cast<std::size_t>(w)];
     std::vector<std::uint64_t> regs = frame;
-    std::atomic<std::int64_t>& my_done = done[static_cast<std::size_t>(w)];
     // Wave spans: bound trace volume by grouping this worker's
-    // iterations into at most trace_waves_per_worker spans.
+    // iterations into at most kTraceWavesPerWorker spans.
     const std::int64_t mine =
         n > w ? (n - 1 - w) / threads + 1 : 0;
     const std::int64_t wave_len =
-        tracer != nullptr && options.trace_waves_per_worker > 0 && mine > 0
-            ? (mine - 1) / options.trace_waves_per_worker + 1
-            : 0;
+        tracer != nullptr && mine > 0 ? (mine - 1) / kTraceWavesPerWorker + 1
+                                      : 0;
     Tracer::Span wave;
     std::int64_t local = 0;
-    std::int64_t completed = 0;
     for (std::int64_t k = w; k < n; k += threads, ++local) {
       if (wave_len > 0 && local % wave_len == 0) {
         wave = Tracer::begin(tracer, "exec_wave");
         wave.arg("worker", w);
         wave.arg("first_iteration", k);
       }
-      // Ring-reuse gate: iteration k may only start once iteration
-      // k - window has fully completed, so the signal slot about to be
-      // re-posted has no live readers and slot sequences only grow.
+      // Ring-reuse gate: iteration k may only start once every
+      // iteration <= k - window has completed, so the signal slot about
+      // to be re-posted has no live readers, slot sequences only grow,
+      // and dependences at distance >= window are ordered by the gate.
       if (k >= window) {
-        const std::int64_t target = k - window;
-        const auto outcome = board.hub().await([&] {
-          for (int w2 = 0; w2 < threads; ++w2) {
-            const std::int64_t need =
-                target >= w2 ? (target - w2) / threads + 1 : 0;
-            if (done[static_cast<std::size_t>(w2)].load(
-                    std::memory_order_seq_cst) < need)
-              return false;
-          }
-          return true;
-        });
+        const auto outcome = board.await_completed(k - window);
         if (outcome.blocked) ++tally.gate_blocks;
         if (!outcome.satisfied) return;
       }
@@ -233,8 +216,7 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
         }
         if (spin_ns > 0) spin_for(spin_ns);
       }
-      my_done.store(++completed, std::memory_order_seq_cst);
-      board.hub().wake();
+      board.complete(k);
     }
   };
 

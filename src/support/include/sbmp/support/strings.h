@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -8,6 +9,11 @@ namespace sbmp {
 
 /// Returns `s` with leading and trailing ASCII whitespace removed.
 [[nodiscard]] std::string_view trim(std::string_view s);
+
+/// Parses `text` as a whole decimal int64 (optional leading '-', no
+/// whitespace, no trailing characters). Leaves `*out` unspecified and
+/// returns false on anything else, including overflow.
+[[nodiscard]] bool parse_i64(std::string_view text, std::int64_t* out);
 
 /// Splits `s` on `sep`, keeping empty fields.
 [[nodiscard]] std::vector<std::string_view> split(std::string_view s,

@@ -1,8 +1,7 @@
 #include "sbmp/support/serialize.h"
 
-#include <charconv>
-
 #include "sbmp/support/hash.h"
+#include "sbmp/support/strings.h"
 
 namespace sbmp {
 
@@ -13,13 +12,6 @@ constexpr std::string_view kTrailerTag = "end ";
 
 Status corrupt(std::string message) {
   return Status::error(StatusCode::kInput, "serialize", std::move(message));
-}
-
-bool parse_i64(std::string_view text, std::int64_t* out) {
-  const char* first = text.data();
-  const char* last = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, *out);
-  return ec == std::errc() && ptr == last;
 }
 
 std::string checksum_hex(std::string_view bytes) {

@@ -1,5 +1,6 @@
 #include "sbmp/support/strings.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -12,6 +13,13 @@ std::string_view trim(std::string_view s) {
   if (first == std::string_view::npos) return {};
   const auto last = s.find_last_not_of(ws);
   return s.substr(first, last - first + 1);
+}
+
+bool parse_i64(std::string_view text, std::int64_t* out) {
+  const char* first = text.data();
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(first, last, *out);
+  return ec == std::errc() && ptr == last;
 }
 
 std::vector<std::string_view> split(std::string_view s, char sep) {

@@ -7,6 +7,8 @@
 // (the differential sweep scales with SBMP_FUZZ_SEEDS).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -301,7 +303,7 @@ TEST(ExecutorStress, EightThreadsLongRunStaysByteIdentical) {
 }
 
 TEST(SignalBoard, PostThenAwaitIsSatisfiedImmediately) {
-  SignalBoard board(3, 8);
+  SignalBoard board(3, 8, 1);
   board.post(2, 5);
   const auto outcome = board.await_signal(2, 5);
   EXPECT_TRUE(outcome.satisfied);
@@ -309,8 +311,8 @@ TEST(SignalBoard, PostThenAwaitIsSatisfiedImmediately) {
 }
 
 TEST(SignalBoard, CrossThreadAwaitIsReleasedByPost) {
-  SignalBoard board(1, 4);
-  WaitHub::Outcome outcome;
+  SignalBoard board(1, 4, 1);
+  SignalBoard::Outcome outcome;
   std::thread waiter([&] { outcome = board.await_signal(0, 7); });
   board.post(0, 7);
   waiter.join();
@@ -318,19 +320,74 @@ TEST(SignalBoard, CrossThreadAwaitIsReleasedByPost) {
 }
 
 TEST(SignalBoard, HaltReleasesWaitersUnsatisfied) {
-  SignalBoard board(1, 4);
-  WaitHub::Outcome outcome{true, false};
+  SignalBoard board(1, 4, 1);
+  SignalBoard::Outcome outcome{true, false};
   std::thread waiter([&] { outcome = board.await_signal(0, 3); });
-  board.hub().halt();
+  board.halt();
   waiter.join();
   EXPECT_FALSE(outcome.satisfied);
+}
+
+// Long enough for a waiter thread to reach std::atomic::wait, so the
+// release under test is a wakeup, not the waiter's first load.
+constexpr auto kParkDelay = std::chrono::milliseconds(20);
+
+TEST(SignalBoard, HaltReleasesAWaiterParkedOnASignalSlot) {
+  SignalBoard board(2, 4, 2);
+  SignalBoard::Outcome outcome{true, false};
+  std::thread waiter([&] { outcome = board.await_signal(1, 6); });
+  std::this_thread::sleep_for(kParkDelay);
+  board.halt();
+  waiter.join();
+  EXPECT_FALSE(outcome.satisfied);
+  EXPECT_TRUE(outcome.blocked);
+}
+
+TEST(SignalBoard, HaltReleasesAWaiterParkedOnTheGate) {
+  SignalBoard board(1, 4, 2);
+  board.complete(0);
+  SignalBoard::Outcome outcome{true, false};
+  std::thread waiter([&] { outcome = board.await_completed(3); });
+  std::this_thread::sleep_for(kParkDelay);
+  board.halt();
+  waiter.join();
+  EXPECT_FALSE(outcome.satisfied);
+  EXPECT_TRUE(outcome.blocked);
+}
+
+TEST(SignalBoard, AwaitCompletedWaitsForTheLastShortWorker) {
+  // Three workers, cyclic assignment: iterations <= 4 are 0,3 (worker
+  // 0), 1,4 (worker 1) and 2 (worker 2). Every worker starts short and
+  // the waiter must stay parked until iteration 4 completes.
+  SignalBoard board(1, 8, 3);
+  std::atomic<bool> released{false};
+  SignalBoard::Outcome outcome;
+  std::thread waiter([&] {
+    outcome = board.await_completed(4);
+    released.store(true);
+  });
+  for (const std::int64_t k : {0, 1, 2, 3}) {
+    std::this_thread::sleep_for(kParkDelay);
+    EXPECT_FALSE(released.load()) << "released before iteration " << k;
+    board.complete(k);
+  }
+  std::this_thread::sleep_for(kParkDelay);
+  EXPECT_FALSE(released.load()) << "released before iteration 4";
+  board.complete(4);
+  waiter.join();
+  EXPECT_TRUE(outcome.satisfied);
+  EXPECT_TRUE(outcome.blocked);
+  // Already complete: no parking.
+  const auto again = board.await_completed(4);
+  EXPECT_TRUE(again.satisfied);
+  EXPECT_FALSE(again.blocked);
 }
 
 TEST(SignalBoard, NewerSequenceValueSatisfiesOlderWaiter) {
   // Ring reuse: iteration 9 re-posts the slot of iteration 1 (rows 8).
   // The gate guarantees iteration 1 completed first, so a late waiter
   // for 1 must accept the newer value.
-  SignalBoard board(1, 8);
+  SignalBoard board(1, 8, 1);
   board.post(0, 9);
   const auto outcome = board.await_signal(0, 1);
   EXPECT_TRUE(outcome.satisfied);

@@ -245,6 +245,13 @@ TEST(SbmpcExitCodes, NegativeJobCountIsAUsageError) {
   EXPECT_EQ(run_sbmpc("--jobs -1 --list-benchmarks"), 2);
 }
 
+TEST(SbmpcExitCodes, NonNumericValuesAreUsageErrors) {
+  // Numeric flags take whole decimal integers; `abc` used to read as 0
+  // (all hardware threads) and `12x` as 12.
+  EXPECT_EQ(run_sbmpc("--jobs abc " + fig1_path()), 2);
+  EXPECT_EQ(run_sbmpc("--iterations 12x " + fig1_path()), 2);
+}
+
 TEST(SbmpcExitCodes, DetectedMutationsExitValidation) {
   for (const char* m : {"hoist-send", "sink-wait", "drop-arc"}) {
     EXPECT_EQ(run_sbmpc("--mutate " + std::string(m) + " " + fig1_path()),
@@ -632,6 +639,18 @@ TEST(SbmpdDaemon, MetricsDumpEmitsPrometheusTextOnDrain) {
     EXPECT_NE(line.substr(0, space).find("sbmp_"), std::string::npos)
         << line;
   }
+}
+
+TEST(SbmpdExitCodes, NonNumericValueIsAUsageError) {
+  // Rejected while parsing flags, before the socket is ever bound.
+  const std::string socket = test_dir() + "never.sock";
+  const std::string cmd = std::string(SBMPD_PATH) + " --socket " + socket +
+                          " --max-inflight x >/dev/null 2>&1";
+  const int raw = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(raw));
+  EXPECT_EQ(WEXITSTATUS(raw), 2);
+  struct stat st{};
+  EXPECT_NE(::stat(socket.c_str(), &st), 0);
 }
 
 #endif  // SBMPD_PATH

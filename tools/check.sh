@@ -76,8 +76,8 @@ if [[ -n "${SBMP_SANITIZE:-}" ]]; then
   cmake --build "$root/build-tsan" -j "$jobs"
   ctest --test-dir "$root/build-tsan" -L "parallel|serve|exec" --output-on-failure -j "$jobs"
 
-  echo "== TSan parallel tests, repeated (a lost pool wakeup times out) =="
-  ctest --test-dir "$root/build-tsan" -L parallel --repeat until-fail:10 --timeout 120 --output-on-failure
+  echo "== TSan parallel + executor tests, repeated (a lost wakeup times out) =="
+  ctest --test-dir "$root/build-tsan" -L "parallel|exec" --repeat until-fail:10 --timeout 120 --output-on-failure
 fi
 
 echo "== all checks passed =="

@@ -107,6 +107,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sbmp/core/parallel.h"
@@ -178,6 +179,17 @@ const char* next_arg(int argc, char** argv, int& i) {
   return argv[++i];
 }
 
+/// The value of a numeric option: anything but a whole decimal integer
+/// that fits `T` (`abc`, `12x`, empty) is a usage error.
+template <class T = std::int64_t>
+T next_int(int argc, char** argv, int& i) {
+  const std::string flag = argv[i];
+  std::int64_t value = 0;
+  if (!parse_i64(next_arg(argc, argv, i), &value) || !std::in_range<T>(value))
+    usage((flag + " wants a whole decimal integer").c_str());
+  return static_cast<T>(value);
+}
+
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions cli;
   std::string machine_text;
@@ -200,9 +212,9 @@ CliOptions parse_cli(int argc, char** argv) {
         usage("unknown scheduler");
       }
     } else if (std::strcmp(arg, "--iterations") == 0) {
-      cli.pipeline.iterations = std::atoll(next_arg(argc, argv, i));
+      cli.pipeline.iterations = next_int(argc, argv, i);
     } else if (std::strcmp(arg, "--processors") == 0) {
-      cli.pipeline.processors = std::atoi(next_arg(argc, argv, i));
+      cli.pipeline.processors = next_int<int>(argc, argv, i);
     } else if (std::strcmp(arg, "--compare") == 0) {
       cli.compare = true;
     } else if (std::strcmp(arg, "--check") == 0) {
@@ -219,31 +231,31 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if (std::strcmp(arg, "--no-validate") == 0) {
       cli.pipeline.validate = false;
     } else if (std::strcmp(arg, "--tolerance") == 0) {
-      cli.pipeline.validate_tolerance = std::atoll(next_arg(argc, argv, i));
+      cli.pipeline.validate_tolerance = next_int(argc, argv, i);
     } else if (std::strcmp(arg, "--mutate") == 0) {
       cli.mutate = parse_mutation(next_arg(argc, argv, i));
       if (!cli.mutate.has_value())
         usage("unknown mutation (hoist-send | sink-wait | drop-arc)");
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      cli.jobs = std::atoi(next_arg(argc, argv, i));
+      cli.jobs = next_int<int>(argc, argv, i);
       if (cli.jobs < 0) usage("--jobs must be non-negative");
     } else if (std::strcmp(arg, "--cache-dir") == 0) {
       cli.pipeline.cache_dir = next_arg(argc, argv, i);
     } else if (std::strcmp(arg, "--cache-bytes") == 0) {
-      cli.pipeline.cache_max_bytes = std::atoll(next_arg(argc, argv, i));
+      cli.pipeline.cache_max_bytes = next_int(argc, argv, i);
       if (cli.pipeline.cache_max_bytes < 0)
         usage("--cache-bytes must be non-negative");
     } else if (std::strcmp(arg, "--remote") == 0) {
       cli.remote_socket = next_arg(argc, argv, i);
     } else if (std::strcmp(arg, "--io-timeout-ms") == 0) {
-      cli.io_timeout_ms = std::atoll(next_arg(argc, argv, i));
+      cli.io_timeout_ms = next_int(argc, argv, i);
     } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      cli.deadline_ms = std::atoll(next_arg(argc, argv, i));
+      cli.deadline_ms = next_int(argc, argv, i);
     } else if (std::strcmp(arg, "--retries") == 0) {
-      cli.retries = std::atoi(next_arg(argc, argv, i));
+      cli.retries = next_int<int>(argc, argv, i);
       if (cli.retries < 1) usage("--retries must be at least 1");
     } else if (std::strcmp(arg, "--retry-backoff-ms") == 0) {
-      cli.retry_backoff_ms = std::atoll(next_arg(argc, argv, i));
+      cli.retry_backoff_ms = next_int(argc, argv, i);
     } else if (std::strcmp(arg, "--fallback-local") == 0) {
       cli.fallback_local = true;
     } else if (std::strcmp(arg, "--trace-out") == 0) {
@@ -252,7 +264,7 @@ CliOptions parse_cli(int argc, char** argv) {
       cli.execute = true;
     } else if (std::strcmp(arg, "--execute-threads") == 0) {
       cli.execute = true;
-      cli.execute_threads = std::atoi(next_arg(argc, argv, i));
+      cli.execute_threads = next_int<int>(argc, argv, i);
       if (cli.execute_threads < 1)
         usage("--execute-threads must be positive");
     } else if (std::strcmp(arg, "--execute-corrupt") == 0) {

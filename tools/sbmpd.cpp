@@ -75,6 +75,7 @@
 #include "sbmp/serve/session.h"
 #include "sbmp/serve/transport.h"
 #include "sbmp/support/status.h"
+#include "sbmp/support/strings.h"
 
 namespace {
 
@@ -151,6 +152,16 @@ const char* next_arg(int argc, char** argv, int& i) {
   return argv[++i];
 }
 
+/// The value of a numeric option: anything but a whole decimal integer
+/// (`abc`, `12x`, empty) is a usage error.
+std::int64_t next_int(int argc, char** argv, int& i) {
+  const std::string flag = argv[i];
+  std::int64_t value = 0;
+  if (!parse_i64(next_arg(argc, argv, i), &value))
+    usage((flag + " wants a whole decimal integer").c_str());
+  return value;
+}
+
 /// One session over a freshly accepted socket; never throws.
 void serve_connection(ScheduleServer& server, AdmissionController& admission,
                       const SessionLimits& limits, int fd) {
@@ -197,23 +208,23 @@ int run(int argc, char** argv) {
     } else if (std::strcmp(arg, "--cache-dir") == 0) {
       options.cache_dir = next_arg(argc, argv, i);
     } else if (std::strcmp(arg, "--cache-bytes") == 0) {
-      options.cache_max_bytes = std::atoll(next_arg(argc, argv, i));
+      options.cache_max_bytes = next_int(argc, argv, i);
       if (options.cache_max_bytes < 0)
         usage("--cache-bytes must be non-negative");
     } else if (std::strcmp(arg, "--io-timeout-ms") == 0) {
-      limits.io_timeout_ms = std::atoll(next_arg(argc, argv, i));
+      limits.io_timeout_ms = next_int(argc, argv, i);
     } else if (std::strcmp(arg, "--idle-timeout-ms") == 0) {
-      limits.idle_timeout_ms = std::atoll(next_arg(argc, argv, i));
+      limits.idle_timeout_ms = next_int(argc, argv, i);
     } else if (std::strcmp(arg, "--max-inflight") == 0) {
-      admission_options.max_inflight = std::atoll(next_arg(argc, argv, i));
+      admission_options.max_inflight = next_int(argc, argv, i);
     } else if (std::strcmp(arg, "--max-queue") == 0) {
-      admission_options.max_queue = std::atoll(next_arg(argc, argv, i));
+      admission_options.max_queue = next_int(argc, argv, i);
     } else if (std::strcmp(arg, "--queue-timeout-ms") == 0) {
-      admission_options.queue_timeout_ms = std::atoll(next_arg(argc, argv, i));
+      admission_options.queue_timeout_ms = next_int(argc, argv, i);
     } else if (std::strcmp(arg, "--max-conns") == 0) {
-      max_conns = std::atoll(next_arg(argc, argv, i));
+      max_conns = next_int(argc, argv, i);
     } else if (std::strcmp(arg, "--max-requests-per-conn") == 0) {
-      limits.max_requests = std::atoll(next_arg(argc, argv, i));
+      limits.max_requests = next_int(argc, argv, i);
     } else if (std::strcmp(arg, "--help") == 0) {
       usage(nullptr);
     } else {
