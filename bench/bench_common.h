@@ -18,6 +18,7 @@
 #include <iterator>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sbmp/core/parallel.h"
@@ -125,6 +126,31 @@ struct CasePair {
   }
 };
 
+/// The value `text` of numeric harness flag `flag`: anything but a
+/// whole decimal integer that fits `T` (`abc`, `12x`, empty) is a usage
+/// error (exit 2), so a typo cannot silently read as 0.
+template <class T = std::int64_t>
+T int_flag(const char* flag, const char* text) {
+  std::int64_t value = 0;
+  if (!parse_i64(text, &value) || !std::in_range<T>(value)) {
+    std::fprintf(stderr, "%s wants a whole decimal integer, got '%s'\n",
+                 flag, text);
+    std::exit(2);
+  }
+  return static_cast<T>(value);
+}
+
+/// Like int_flag, for a flag that takes a finite decimal number.
+inline double real_flag(const char* flag, const char* text) {
+  double value = 0.0;
+  if (!parse_f64(text, &value)) {
+    std::fprintf(stderr, "%s wants a decimal number, got '%s'\n", flag,
+                 text);
+    std::exit(2);
+  }
+  return value;
+}
+
 /// Parses `--jobs N` from a harness command line (other arguments are
 /// left for the harness itself). 0 = one worker per hardware thread;
 /// 1 = the serial engine, bit-identical to the pre-parallel harnesses.
@@ -132,7 +158,7 @@ inline int parse_jobs(int argc, char** argv) {
   int jobs = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-      jobs = std::atoi(argv[i + 1]);
+      jobs = int_flag<int>("--jobs", argv[i + 1]);
   }
   return jobs;
 }
@@ -306,11 +332,11 @@ struct CompilePerf {
   std::vector<std::pair<int, double>> scaling_curve;
   std::int64_t cache_hit_p50_ns = 0;
   std::int64_t cache_hit_p99_ns = 0;
-  /// Fraction of corpus compiles whose never-degrade fallback avoided
-  /// the simulation — skipped entirely by the schedule-free pre-filter
-  /// or sim-skipped by the list schedule's own bound
-  /// ((sbmp_compile_fallback_skipped + sbmp_compile_fallback_sim_skipped)
-  /// / sbmp_compile_loops over the traced pass).
+  /// Fraction of corpus compiles whose never-degrade fallback neither
+  /// built nor simulated the list schedule because the list placement's
+  /// own bound already met the sync-aware time
+  /// (sbmp_compile_fallback_sim_skipped / sbmp_compile_loops over the
+  /// traced pass).
   double fallback_skip_rate = 0.0;
   std::uint64_t allocs_per_compile = 0;  ///< 0 when no interposer
   std::string schedule_fingerprint;      ///< 16 hex chars
@@ -445,7 +471,7 @@ inline CompilePerf run_compile_perf(int reps = 7) {
   // pay. Span durations come straight from the tracer's event log;
   // phases are reported in pipeline order (first-appearance order of
   // their spans). The pass also carries a metrics registry, which yields
-  // the pre-filter skip rate for free.
+  // the fallback skip rate for free.
   Tracer tracer;
   MetricsRegistry traced_metrics;
   PipelineOptions traced_options = options;
@@ -459,8 +485,6 @@ inline CompilePerf run_compile_perf(int reps = 7) {
   if (traced_loops > 0)
     perf.fallback_skip_rate =
         static_cast<double>(
-            traced_metrics.counter("sbmp_compile_fallback_skipped_total")
-                ->value() +
             traced_metrics.counter("sbmp_compile_fallback_sim_skipped_total")
                 ->value()) /
         static_cast<double>(traced_loops);
@@ -488,8 +512,8 @@ inline CompilePerf run_compile_perf(int reps = 7) {
 /// v2 added "phase_ns" (per-phase p50/p99 from the traced pass); v3
 /// added "scaling_curve": measured loops/sec at every jobs level of the
 /// {1, 2, 4, 8, 16} sweep; v4 added "fallback_skip_rate" (fraction of
-/// compiles whose never-degrade fallback the analytic pre-filter
-/// skipped) and "l1_hit_rate"; v5 drops "l1_hit_rate" with the
+/// compiles whose never-degrade fallback an analytic bound skipped)
+/// and "l1_hit_rate"; v5 drops "l1_hit_rate" with the
 /// ResultCache front-cache it measured. The check-mode reader scans
 /// scalar fields by key, so older files remain checkable against a v5
 /// binary and vice versa.
@@ -588,8 +612,8 @@ inline double default_scaling_floor() {
 /// The fallback-phase latency budget `--check` enforces, in ns of p50
 /// span time, anchored to the last *pre-cutoff* measurement (13598ns on
 /// the reference machine, BENCH_compile.json as of the chunk-autotuning
-/// PR's parent): the cutoff + pre-filter rework promised >= 60% off that
-/// phase, so the gate holds the phase at <= 40% of the old cost forever
+/// PR's parent): the cutoff + analytic-bound rework promised >= 60% off
+/// that phase, so the gate holds the phase at <= 40% of the old cost forever
 /// — re-anchoring to the post-rework file would self-ratchet and demand
 /// another 60% every regeneration. Scaled by the machine's measured
 /// pipeline-p50 ratio against the stored file (never below 1.0, so a
@@ -687,7 +711,7 @@ inline int check_compile_perf(const CompilePerf& now,
                    "FALLBACK BUDGET EXCEEDED: fallback phase p50 %lld ns "
                    "> budget %lld ns (%.0f%% of the pre-cutoff %lld ns, "
                    "machine scale %.2f) — the never-degrade pass lost its "
-                   "cutoff/pre-filter savings\n",
+                   "bound/cutoff savings\n",
                    static_cast<long long>(now_fallback_p50),
                    static_cast<long long>(budget),
                    kFallbackBudgetFraction * 100.0,

@@ -232,15 +232,16 @@ int run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--check") == 0) {
       cli.check = true;
     } else if (std::strcmp(argv[i], "--iterations") == 0 && i + 1 < argc) {
-      cli.iterations = std::atoll(argv[++i]);
+      cli.iterations = bench::int_flag("--iterations", argv[++i]);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      cli.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      cli.seed =
+          static_cast<std::uint64_t>(bench::int_flag("--seed", argv[++i]));
     } else if (std::strcmp(argv[i], "--spin-ns") == 0 && i + 1 < argc) {
-      cli.spin_ns = std::atoll(argv[++i]);
+      cli.spin_ns = bench::int_flag("--spin-ns", argv[++i]);
     } else if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-      cli.tolerance = std::atof(argv[++i]);
+      cli.tolerance = bench::real_flag("--tolerance", argv[++i]);
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      cli.reps = std::atoi(argv[++i]);
+      cli.reps = bench::int_flag<int>("--reps", argv[++i]);
       if (cli.reps < 1) cli.reps = 1;
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       ++i;  // accepted for harness-runner uniformity; thread counts are

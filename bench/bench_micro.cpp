@@ -179,9 +179,9 @@ int main(int argc, char** argv) {
   std::int64_t fallback_budget_ns = -1;
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--scaling-floor") == 0)
-      scaling_floor = std::atof(argv[i + 1]);
+      scaling_floor = sbmp::bench::real_flag(argv[i], argv[i + 1]);
     if (std::strcmp(argv[i], "--fallback-budget-ns") == 0)
-      fallback_budget_ns = std::atoll(argv[i + 1]);
+      fallback_budget_ns = sbmp::bench::int_flag(argv[i], argv[i + 1]);
   }
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {

@@ -327,9 +327,9 @@ int run(int argc, char** argv) {
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc) {
-      chaos_trials = std::atoi(argv[++i]);
+      chaos_trials = bench::int_flag<int>("--chaos", argv[++i]);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      seed = static_cast<std::uint64_t>(bench::int_flag("--seed", argv[++i]));
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {

@@ -49,19 +49,6 @@ struct PipelineOptions {
   /// list scheduling (possible when everything sits on the critical
   /// path and packing noise dominates), fall back to the list schedule.
   bool never_degrade = true;
-  /// Cost control for the never-degrade guard, on by default: before the
-  /// list schedule is even built, the schedule-free analytic lower bound
-  /// (schedule_free_lower_bound) decides whether ANY schedule could beat
-  /// the sync-aware result — when it cannot, the fallback schedule and
-  /// simulation are skipped entirely; when it might, the fallback
-  /// simulation runs with a cutoff at the sync-aware parallel time and
-  /// aborts the moment "list loses" is proven. Both shortcuts are exact
-  /// (the monotonicity/bound arguments are in docs/perf.md), so the
-  /// compiled artifact is byte-identical either way and this flag is NOT
-  /// part of any cache key — it exists only as an A/B escape hatch
-  /// (sbmpc --no-never-degrade-prefilter) forcing the old full
-  /// schedule + full simulate path.
-  bool never_degrade_prefilter = true;
   /// Run the cross-layer validator (validate_pipeline) on every loop:
   /// Sig/Wat pairing integrity, the paper's two synchronization
   /// conditions re-resolved from the sync layer (independent of DFG
@@ -72,24 +59,14 @@ struct PipelineOptions {
   /// Slack (in cycles) granted to the analytic-vs-simulated
   /// cross-checks; 0 demands the exact relations.
   std::int64_t validate_tolerance = 0;
-  /// Directory of the persistent content-addressed schedule cache
-  /// (sbmp/serve/disk_cache.h); empty disables it. NOT part of any
-  /// cache key: where a report is stored cannot change its bytes, so
-  /// ResultCache::key and the serve-layer fingerprint both skip it —
-  /// adding it would make every directory a disjoint key space for
-  /// identical artifacts.
-  std::string cache_dir;
-  /// Size cap (bytes) for the on-disk cache; oldest entries are evicted
-  /// first. Like cache_dir, never part of a cache key.
-  std::int64_t cache_max_bytes = 256ll << 20;
   /// Observability hooks (sbmp/obs): when set, every pipeline phase
   /// (dep → sync → codegen → dfg → schedule → sim → validate) opens a
   /// span on `tracer` and observes its latency on `metrics`, and the
   /// per-loop facts the paper's technique turns on (LBD/LFD pair counts,
   /// worst i−j sync span, waits eliminated, never-degrade fallbacks)
   /// travel as span arguments. Instrumentation observes a compile; it
-  /// can never change its bytes — so like cache_dir these are NOT part
-  /// of any cache key and are never serialized, and both nullptr (the
+  /// can never change its bytes — so these two are the only fields NOT
+  /// part of the cache key and never serialized, and both nullptr (the
   /// default) costs two pointer tests per phase.
   Tracer* tracer = nullptr;
   MetricsRegistry* metrics = nullptr;
@@ -120,15 +97,12 @@ struct LoopReport {
   /// True when the never-degrade guard replaced the sync-aware schedule
   /// with the list schedule.
   bool used_list_fallback = false;
-  /// True when the analytic pre-filter proved no schedule could beat the
-  /// sync-aware result and the fallback schedule + simulation were
-  /// skipped. Purely observational (the artifact is byte-identical with
-  /// or without the skip): never serialized, never part of a cache key.
-  bool fallback_prefiltered = false;
-  /// True when the list schedule was built but its own analytic lower
-  /// bound (scheduled_lower_bound) already met the sync-aware time, so
-  /// the fallback simulation was skipped — "list strictly faster" was
-  /// impossible. Observational only, like fallback_prefiltered.
+  /// True when the list placement's own analytic lower bound
+  /// (scheduled_lower_bound) already met the sync-aware time, so the
+  /// list schedule was neither built nor simulated — "list strictly
+  /// faster" was impossible. Purely observational (the artifact is
+  /// byte-identical with or without the skip): never serialized, never
+  /// part of a cache key.
   bool fallback_sim_skipped = false;
   std::vector<std::string> schedule_violations;
   std::vector<std::string> ordering_violations;

@@ -82,8 +82,6 @@ std::string ResultCache::key(std::string_view rendering,
   append_int(out, options.never_degrade ? 1 : 0);
   append_int(out, options.validate ? 1 : 0);
   append_int(out, options.validate_tolerance);
-  // cache_dir / cache_max_bytes are deliberately absent: they choose
-  // where artifacts live, never what the pipeline computes.
   return out;
 }
 

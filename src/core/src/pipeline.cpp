@@ -119,12 +119,11 @@ void record_loop_observations(Tracer::Span& span, const LoopReport& report,
     span.arg("worst_sync_span", geometry.worst_sync_span);
     span.arg("waits_eliminated", report.waits_eliminated);
     span.arg("list_fallback", report.used_list_fallback ? 1 : 0);
-    span.arg("fallback_prefiltered", report.fallback_prefiltered ? 1 : 0);
     span.arg("fallback_sim_skipped", report.fallback_sim_skipped ? 1 : 0);
     span.arg("parallel_time", report.sim.parallel_time);
   }
   if (MetricsRegistry* metrics = options.metrics) {
-    // Same caching idea as cached_phase_histogram: these seven counters
+    // Same caching idea as cached_phase_histogram: these six counters
     // tick for every compiled loop, so resolve them once per (thread,
     // registry) and pay only pointer increments afterwards.
     struct LoopCounters {
@@ -134,7 +133,6 @@ void record_loop_observations(Tracer::Span& span, const LoopReport& report,
       Counter* lfd_pairs = nullptr;
       Counter* waits_eliminated = nullptr;
       Counter* list_fallback = nullptr;
-      Counter* fallback_skipped = nullptr;
       Counter* fallback_sim_skipped = nullptr;
     };
     thread_local LoopCounters cached;
@@ -147,8 +145,6 @@ void record_loop_observations(Tracer::Span& span, const LoopReport& report,
           metrics->counter("sbmp_compile_waits_eliminated_total");
       cached.list_fallback =
           metrics->counter("sbmp_compile_list_fallback_total");
-      cached.fallback_skipped =
-          metrics->counter("sbmp_compile_fallback_skipped_total");
       cached.fallback_sim_skipped =
           metrics->counter("sbmp_compile_fallback_sim_skipped_total");
     }
@@ -157,7 +153,6 @@ void record_loop_observations(Tracer::Span& span, const LoopReport& report,
     cached.lfd_pairs->inc(geometry.lfd_pairs);
     cached.waits_eliminated->inc(report.waits_eliminated);
     if (report.used_list_fallback) cached.list_fallback->inc();
-    if (report.fallback_prefiltered) cached.fallback_skipped->inc();
     if (report.fallback_sim_skipped) cached.fallback_sim_skipped->inc();
   }
 }
@@ -248,53 +243,28 @@ LoopReport run_pipeline(const Loop& loop, const PipelineOptions& options) {
     // The paper's technique never degrades versus list scheduling; when
     // the phased placement loses to it (dense critical paths where
     // packing noise dominates), keep the list schedule instead. The
-    // guard pays only for what it can win: the schedule-free analytic
-    // bound skips the whole comparison when no schedule could beat the
-    // sync-aware result, and the fallback simulation otherwise carries a
-    // cutoff at the sync-aware time so a losing list schedule stops the
-    // moment the loss is proven. Both shortcuts keep the
-    // used_list_fallback decision — and the winner's bytes — exactly
-    // identical to the unconditional full path (see docs/perf.md), so
-    // never_degrade_prefilter is an A/B switch, not a semantic one.
+    // guard pays only for what it can win, with two exact shortcuts
+    // (see docs/perf.md). First, the list placement runs slots-only
+    // (identical decisions to schedule_list, no group lists
+    // materialized) and the analytic lower bound of that slot
+    // assignment is evaluated: when it already meets the sync-aware
+    // time, list_time >= bound >= sync_time and "strictly faster" is
+    // impossible, so the list schedule is neither built nor simulated.
+    // On the corpus this resolves ~97% of loops. Otherwise the list
+    // simulation carries a cutoff at the sync-aware time, so a losing
+    // list schedule stops the moment the loss is proven.
     PhaseScope phase(options, "fallback");
-    // First filter: run the list placement slots-only (identical
-    // decisions to schedule_list, no group lists materialized) and
-    // evaluate the analytic lower bound of that slot assignment. When
-    // the bound already meets the sync-aware time, list_time >= bound
-    // >= sync_time and "strictly faster" is impossible — neither the
-    // materialized schedule nor the simulation is ever needed, with the
-    // identical decision. This check dominates the schedule-free
-    // pre-filter below (arc latencies force slot(v) >= up(v), so every
-    // term of the schedule-free bound is <= the corresponding term
-    // here), which is why it runs first: on the corpus it resolves
-    // ~97% of loops and the weaker bound would be pure added cost.
-    bool sim_skipped = false;
-    if (options.never_degrade_prefilter) {
-      thread_local std::vector<int> list_slots;
-      const int list_len = schedule_list_slots(report.tac, *report.dfg,
-                                               options.machine, list_slots);
-      const std::int64_t list_bound =
-          scheduled_lower_bound(report.tac, *report.dfg, options.machine,
-                                list_slots, list_len, iterations);
-      sim_skipped = report.sim.parallel_time <= list_bound;
-    }
-    if (sim_skipped) {
+    thread_local std::vector<int> list_slots;
+    const int list_len = schedule_list_slots(report.tac, *report.dfg,
+                                             options.machine, list_slots);
+    if (report.sim.parallel_time <=
+        scheduled_lower_bound(report.tac, *report.dfg, options.machine,
+                              list_slots, list_len, iterations)) {
       report.fallback_sim_skipped = true;
-    } else if (options.never_degrade_prefilter &&
-               report.sim.parallel_time <=
-                   schedule_free_lower_bound(report.tac, *report.dfg,
-                                             options.machine, iterations)) {
-      // Schedule-free pre-filter: no schedule at all could beat the
-      // sync-aware time, so the same skip follows without naming the
-      // list schedule. Dominated by the slots bound above, so this is
-      // reachable only off the corpus; kept for the A/B flag's sake and
-      // because it certifies a strictly stronger fact.
-      report.fallback_prefiltered = true;
     } else {
       Schedule list = schedule_list(report.tac, *report.dfg, options.machine);
       SimOptions fallback_sim_options = sim_options;
-      if (options.never_degrade_prefilter)
-        fallback_sim_options.cutoff_time = report.sim.parallel_time;
+      fallback_sim_options.cutoff_time = report.sim.parallel_time;
       const SimResult list_sim = simulate(report.tac, *report.dfg, list,
                                           options.machine,
                                           fallback_sim_options);

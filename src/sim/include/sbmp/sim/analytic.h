@@ -42,37 +42,12 @@ namespace sbmp {
 /// quantity the paper's technique minimizes.
 [[nodiscard]] int worst_sync_span(const Dfg& dfg, const Schedule& schedule);
 
-/// Lower bound on the simulated parallel time of ANY schedule of `tac`
-/// that orders every DFG arc into a strictly later group (the invariant
-/// verify_schedule enforces and both schedulers construct), executing
-/// `n` iterations on any processor count. Unlike analytic_lower_bound
-/// this needs no schedule and no simulated iteration time — it reads
-/// only the DFG structure:
-///
-///  * crit: the latency-weighted critical path through one iteration
-///    (longest arc path plus the final result drain). The simulator's
-///    operand-readiness rule forces issue(v) >= start + up(v) and
-///    finish >= issue(v) + down(v), so every iteration — and therefore
-///    the parallel time — is >= crit.
-///  * per sync pair (wait w, send s, distance d): when the DFG carries a
-///    w -> s path of total latency P, the chain
-///      issue_k(w) >= issue_{k-d}(s) + net >= issue_{k-d}(w) + P + net
-///    links floor((n-1)/d) times, giving
-///      floor((n-1)/d) * (P + net) + up(w) + down(w).
-///
-/// The bound is exact for the single-pair unit-latency loops of the LBD
-/// theorem and valid (never above the simulated time) everywhere else,
-/// which makes it a sound pre-filter: a schedule already at or below the
-/// bound cannot be beaten by any alternative schedule.
-[[nodiscard]] std::int64_t schedule_free_lower_bound(
-    const TacFunction& tac, const Dfg& dfg, const MachineDesc& config,
-    std::int64_t n);
-
-/// Lower bound on the simulated parallel time of `schedule` ITSELF (not
-/// of every possible schedule, which is what schedule_free_lower_bound
-/// answers), executing `n` iterations on any processor count. Derived
-/// purely from the simulator's issue recurrences, so it needs no
-/// simulation:
+/// Lower bound on the simulated parallel time of one schedule, given as
+/// a bare slot assignment (instruction id -> group index, index 0
+/// unused) of `length` groups — a Schedule's `slot_of`/`length()`, or
+/// the output of schedule_list_slots — executing `n` iterations on any
+/// processor count. Derived purely from the simulator's issue
+/// recurrences, so it needs no simulation and no materialized groups:
 ///
 ///  * groups issue strictly in order (issue(g) >= issue(g-1) + 1) and
 ///    iteration 0 starts at cycle 0, so with suffix(s) = max over
@@ -87,19 +62,9 @@ namespace sbmp {
 ///
 /// Every step is one of the simulator's own >= constraints, so the bound
 /// can never exceed the simulated time. Its use in the never-degrade
-/// guard: when this bound for the list schedule already meets the
-/// sync-aware time, "list strictly faster" is impossible and the
-/// fallback simulation can be skipped with the identical decision.
-[[nodiscard]] std::int64_t scheduled_lower_bound(const TacFunction& tac,
-                                                 const Dfg& dfg,
-                                                 const MachineDesc& config,
-                                                 const Schedule& schedule,
-                                                 std::int64_t n);
-
-/// Same bound evaluated on a bare slot assignment (instruction id ->
-/// group index, index 0 unused) of length `length`, as produced by
-/// schedule_list_slots: the bound reads only slots, so the guard can
-/// evaluate it without ever materializing the schedule's group lists.
+/// guard: when this bound for the list placement already meets the
+/// sync-aware time, "list strictly faster" is impossible and the list
+/// schedule is neither built nor simulated, with the identical decision.
 [[nodiscard]] std::int64_t scheduled_lower_bound(
     const TacFunction& tac, const Dfg& dfg, const MachineDesc& config,
     const std::vector<int>& slot_of, int length, std::int64_t n);

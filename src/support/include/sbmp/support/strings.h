@@ -15,6 +15,12 @@ namespace sbmp {
 /// returns false on anything else, including overflow.
 [[nodiscard]] bool parse_i64(std::string_view text, std::int64_t* out);
 
+/// Parses `text` as a whole finite decimal double (same rules: optional
+/// leading '-', no whitespace, no trailing characters; "inf"/"nan" and
+/// out-of-range values are rejected). Leaves `*out` unspecified and
+/// returns false on anything else.
+[[nodiscard]] bool parse_f64(std::string_view text, double* out);
+
 /// Splits `s` on `sep`, keeping empty fields.
 [[nodiscard]] std::vector<std::string_view> split(std::string_view s,
                                                   char sep);

@@ -22,6 +22,13 @@ bool parse_i64(std::string_view text, std::int64_t* out) {
   return ec == std::errc() && ptr == last;
 }
 
+bool parse_f64(std::string_view text, double* out) {
+  const char* first = text.data();
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(first, last, *out);
+  return ec == std::errc() && ptr == last && std::isfinite(*out);
+}
+
 std::vector<std::string_view> split(std::string_view s, char sep) {
   std::vector<std::string_view> out;
   std::size_t start = 0;

@@ -221,12 +221,6 @@ TEST(ResultCacheTest, KeyCoversEveryOutputAffectingOption) {
   EXPECT_TRUE(
       changes_key([](PipelineOptions& o) { o.validate_tolerance = 5; }));
 
-  // The storage knobs cannot change the report, so they must NOT key:
-  // otherwise identical artifacts fragment into per-directory key
-  // spaces (memory and disk caches would disagree about identity).
-  EXPECT_FALSE(changes_key([](PipelineOptions& o) { o.cache_dir = "/d"; }));
-  EXPECT_FALSE(changes_key([](PipelineOptions& o) { o.cache_max_bytes = 1; }));
-
   // The loop text is part of the key too.
   const Loop other = parse_single_loop_or_throw(
       "doacross I = 1, 100\n  A[I] = A[I-1] + 1\nend\n");

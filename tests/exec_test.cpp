@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "fuzz_seeds.h"
 #include "sbmp/core/pipeline.h"
 #include "sbmp/exec/executor.h"
 #include "sbmp/exec/interp.h"
@@ -50,14 +51,6 @@ LoopReport compile_one(const char* source) {
       compile(CompileRequest{parse_single_loop_or_throw(source), options});
   EXPECT_TRUE(result.ok());
   return std::move(result.report);
-}
-
-int fuzz_seed_count() {
-  const char* env = std::getenv("SBMP_FUZZ_SEEDS");
-  if (env == nullptr) return 25;
-  const int n = std::atoi(env);
-  if (n < 1) return 25;
-  return n > 100000 ? 100000 : n;
 }
 
 TEST(Executor, PaperExampleMatchesSerialReferenceAtEveryThreadCount) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "fuzz_seeds.h"
 #include "sbmp/core/pipeline.h"
 #include "sbmp/frontend/lexer.h"
 #include "sbmp/frontend/parser.h"
@@ -21,16 +22,6 @@
 
 namespace sbmp {
 namespace {
-
-/// Seed count for every fuzz suite, overridable via SBMP_FUZZ_SEEDS
-/// (clamped to [1, 100000]).
-int fuzz_seed_count() {
-  const char* env = std::getenv("SBMP_FUZZ_SEEDS");
-  if (env == nullptr) return 25;
-  const int n = std::atoi(env);
-  if (n < 1) return 25;
-  return n > 100000 ? 100000 : n;
-}
 
 class FuzzSeed : public ::testing::TestWithParam<int> {};
 

@@ -1,23 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
+#include "fuzz_seeds.h"
 #include "sbmp/machine/machine.h"
 #include "sbmp/support/rng.h"
 
 namespace sbmp {
 namespace {
-
-/// Seed count, overridable via SBMP_FUZZ_SEEDS like the fuzz suites
-/// (clamped to [1, 100000]).
-int fuzz_seed_count() {
-  const char* env = std::getenv("SBMP_FUZZ_SEEDS");
-  if (env == nullptr) return 25;
-  const int n = std::atoi(env);
-  if (n < 1) return 25;
-  return n > 100000 ? 100000 : n;
-}
 
 TEST(MachineDesc, PaperCases) {
   const MachineDesc c21 = machines::paper(2, 1);

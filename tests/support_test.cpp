@@ -45,6 +45,24 @@ TEST(Strings, StartsWith) {
   EXPECT_FALSE(starts_with("do", "doacross"));
 }
 
+TEST(Strings, ParseF64AcceptsOnlyAWholeFiniteNumber) {
+  double value = 0.0;
+  ASSERT_TRUE(parse_f64("1.8", &value));
+  EXPECT_DOUBLE_EQ(value, 1.8);
+  ASSERT_TRUE(parse_f64("-0.5", &value));
+  EXPECT_DOUBLE_EQ(value, -0.5);
+  ASSERT_TRUE(parse_f64("25", &value));
+  EXPECT_DOUBLE_EQ(value, 25.0);
+  EXPECT_FALSE(parse_f64("abc", &value));
+  EXPECT_FALSE(parse_f64("1.8x", &value));
+  EXPECT_FALSE(parse_f64("", &value));
+  EXPECT_FALSE(parse_f64(" 1", &value));
+  EXPECT_FALSE(parse_f64("1 ", &value));
+  EXPECT_FALSE(parse_f64("inf", &value));
+  EXPECT_FALSE(parse_f64("nan", &value));
+  EXPECT_FALSE(parse_f64("1e999", &value));
+}
+
 TEST(Strings, FormatFixed) {
   EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(format_fixed(-1.0, 0), "-1");

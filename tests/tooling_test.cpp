@@ -655,6 +655,27 @@ TEST(SbmpdExitCodes, NonNumericValueIsAUsageError) {
 
 #endif  // SBMPD_PATH
 
+#ifdef BENCH_MICRO_PATH
+
+TEST(BenchMicroFlags, NonNumericScalingFloorIsAUsageError) {
+  // `abc` used to read as a 0.00x floor, so the scaling gate passed
+  // whatever it measured. The flag is rejected while parsing, before any
+  // measurement prints a line.
+  const std::string out = test_dir() + "bench_micro.txt";
+  const std::string cmd = std::string(BENCH_MICRO_PATH) + " --check " +
+                          SBMP_BENCH_JSON_PATH +
+                          " --scaling-floor abc > " + out + " 2>/dev/null";
+  const int raw = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(raw));
+  EXPECT_EQ(WEXITSTATUS(raw), 2);
+  std::ifstream in(out);
+  std::ostringstream printed;
+  printed << in.rdbuf();
+  EXPECT_EQ(printed.str(), "");
+}
+
+#endif  // BENCH_MICRO_PATH
+
 TEST(SbmpcTrace, TraceOutEmitsValidatedJsonAndChangesNoOutput) {
   const std::string trace = test_dir() + "trace.json";
   std::string untraced;
